@@ -8,11 +8,12 @@ deterministic given identical input bits (dropout takes an explicit seed).
 
 Op kinds
 --------
-add, subtract, multiply, matmul, transpose, concat-last-axis, concat-rows,
-elementwise-max, relu, sigmoid, tanh, masked-softmax, layer-normalize,
+add, subtract, multiply, matmul, concat-last-axis, concat-rows,
+elementwise-max, relu, sigmoid, tanh, packed-attention, layer-normalize,
 mean-over-rows, sum-over-rows, gather-rows, scatter-add-rows, segment-mean,
-edge-message, p-norm-of-difference, broadcast-add-bias, dropout,
-squared-error, binary-cross-entropy-with-logit, cross-entropy-with-logits.
+edge-message, typed-edge-message, p-norm-of-difference, broadcast-add-bias,
+dropout, squared-error, binary-cross-entropy-with-logit,
+cross-entropy-with-logits.
 
 ``add``, ``subtract`` and ``multiply`` accept one scalar (0-d) operand and
 broadcast it; all other shape combinations must match exactly.
@@ -78,14 +79,6 @@ def constant(values):
 
 
 @dataclass
-class OpRecord:
-    kind: str
-    input_ids: tuple
-    output_id: int
-    backward_fn: object  # (grad_out, accumulate) -> None
-
-
-@dataclass
 class Tape:
     """Ordered operation record; inputs always precede their consumers.
 
@@ -127,11 +120,6 @@ class Tape:
     def detach(self, tensor):
         """Constant copy of a tensor's values (blocks gradient flow)."""
         return Tensor(tensor.values.copy(), requires_grad=False)
-
-
-def apply(kind, inputs, tape, **kwargs):
-    """Functional alias for :meth:`Tape.apply`."""
-    return tape.apply(kind, *inputs, **kwargs)
 
 
 def backward(loss, tape):
@@ -268,19 +256,6 @@ def _op_matmul(inputs, kw):
     return a.values @ b.values, bwd
 
 
-@_register("transpose")
-def _op_transpose(inputs, kw):
-    _require_arity("transpose", inputs, 1)
-    x = inputs[0]
-    if x.values.ndim != 2:
-        raise ShapeError("transpose", x.shape)
-
-    def bwd(g, acc):
-        acc(x, g.T)
-
-    return x.values.T.copy(), bwd
-
-
 @_register("concat-last-axis")
 def _op_concat_last(inputs, kw):
     _require_arity("concat-last-axis", inputs, 2)
@@ -370,23 +345,66 @@ def _op_tanh(inputs, kw):
     return out, bwd
 
 
-@_register("masked-softmax")
-def _op_masked_softmax(inputs, kw):
-    _require_arity("masked-softmax", inputs, 1)
-    x = inputs[0]
-    mask = np.asarray(kw["mask"], dtype=bool)
-    if x.values.ndim not in (1, 2) or mask.shape != (x.shape[-1],):
-        raise ShapeError("masked-softmax", x.shape, mask.shape)
-    if not mask.any():
-        raise ShapeError("masked-softmax", x.shape, mask.shape)
-    z = np.where(mask, x.values, -np.inf)
-    zmax = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - zmax)
-    out = ez / ez.sum(axis=-1, keepdims=True)
+@_register("packed-attention")
+def _op_packed_attention(inputs, kw):
+    """Scaled dot-product self-attention over a packed batch, heads fused.
+
+    ``qkv`` is (rows x 3d): the [q | k | v] projections of every packed
+    row, each part holding ``num_heads`` column blocks of width d / heads.
+    Sequence i owns rows offsets[i]:offsets[i + 1] and attends only to
+    those rows, so no padding and no mask is involved; the output is the
+    (rows x d) head-concatenated context. ``collect``, when a list, gets
+    each sequence's (heads x L x L) attention probabilities.
+    """
+    _require_arity("packed-attention", inputs, 1)
+    qkv = inputs[0]
+    heads = int(kw["num_heads"])
+    offsets = np.asarray(kw["offsets"], dtype=np.int64)
+    rows = qkv.shape[0] if qkv.values.ndim == 2 else -1
+    if (
+        qkv.values.ndim != 2
+        or heads < 1
+        or qkv.shape[1] % (3 * heads)
+        or offsets.ndim != 1
+        or len(offsets) < 2
+        or offsets[0] != 0
+        or offsets[-1] != rows
+    ):
+        raise ShapeError("packed-attention", qkv.shape, offsets.shape)
+    if (np.diff(offsets) <= 0).any():
+        raise ValueError("packed-attention: empty or non-increasing segment")
+    d = qkv.shape[1] // 3
+    dk = d // heads
+    scale = 1.0 / np.sqrt(dk)
+    out = np.empty((rows, d), dtype=np.float64)
+    saved = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        # (L, 3d) -> (3, heads, L, dk): q, k and v with the heads batched
+        q, k, v = qkv.values[lo:hi].reshape(hi - lo, 3, heads, dk).transpose(1, 2, 0, 3)
+        z = (q @ k.transpose(0, 2, 1)) * scale
+        z -= z.max(axis=-1, keepdims=True)
+        probs = np.exp(z, out=z)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out[lo:hi] = (probs @ v).transpose(1, 0, 2).reshape(hi - lo, d)
+        saved.append((q, k, v, probs))
+        if kw.get("collect") is not None:
+            kw["collect"].append(probs)
 
     def bwd(g, acc):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        acc(x, out * (g - dot))
+        grad = np.empty((rows, 3 * d), dtype=np.float64)
+        for lo, hi, (q, k, v, probs) in zip(offsets[:-1], offsets[1:], saved):
+            length = hi - lo
+            gc = g[lo:hi].reshape(length, heads, dk).transpose(1, 0, 2)
+            gv = probs.transpose(0, 2, 1) @ gc
+            gp = gc @ v.transpose(0, 2, 1)
+            gz = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+            gz *= scale
+            gq = gz @ k
+            gk = gz.transpose(0, 2, 1) @ q
+            grad[lo:hi] = np.stack([gq, gk, gv]).transpose(2, 0, 1, 3).reshape(
+                length, 3 * d
+            )
+        acc(qkv, grad)
 
     return out, bwd
 
@@ -815,8 +833,6 @@ def _trial_inputs(kind, shape, rng):
     if kind == "matmul":
         k = d + 1
         return [rand((n, k)), rand((k, d))], {}
-    if kind == "transpose":
-        return [rand((n, d))], {}
     if kind in ("concat-last-axis",):
         return [rand((n, d)), rand((n, d + 1))], {}
     if kind == "concat-rows":
@@ -827,11 +843,13 @@ def _trial_inputs(kind, shape, rng):
         return [x], {}
     if kind in ("sigmoid", "tanh"):
         return [rand(shape)], {}
-    if kind == "masked-softmax":
-        mask = np.ones(d, dtype=bool)
-        if d > 1:
-            mask[rng.integers(0, d)] = False
-        return [rand((n, d))], {"mask": mask}
+    if kind == "packed-attention":
+        # three sequences, one of a single row; two heads of width d
+        lengths = [1, n, 2]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        return [rand((int(offsets[-1]), 3 * 2 * d))], {
+            "offsets": offsets, "num_heads": 2,
+        }
     if kind == "layer-normalize":
         return [rand((n, d)), rand((d,)), rand((d,))], {}
     if kind in ("mean-over-rows", "sum-over-rows"):

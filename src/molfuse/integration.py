@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import Tape, constant, parameter
 from .gnn import GnnConfig, GraphBatch, build_gnn
 from .lm import EncoderConfig, PredictionHead, SmilesEncoder, xavier
+from .smiles import pack_batch
 
 STRATEGIES = (
     "lm-baseline",
@@ -35,7 +36,6 @@ class ContrastConfig:
     norm_p: int = 2
     alpha: float = 0.1        # node-level regularization weight
     alpha_graph: float = 0.1  # graph-level regularization weight
-    triples_per_chunk: int | None = None  # None = one chunk of all N triples
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -138,12 +138,7 @@ def build_triples(lm_nodes, mpnn_nodes, offsets, seed, cross_graph=False):
 
 
 def triplet_loss(tape, anchors, positives, triples, cfg):
-    """Sum over triples of max(||a-p||_2 - ||a-n||_2 + margin, 0).
-
-    The chunked double-sum formulation (chunks of cfg.triples_per_chunk)
-    is algebraically identical to this flat sum for any chunk size, so the
-    flat sum is what runs.
-    """
+    """Sum over triples of max(||a-p||_2 - ||a-n||_2 + margin, 0)."""
     if len(triples) == 0:
         return constant(np.asarray(0.0))
     a = tape.apply("gather-rows", anchors, indices=triples.anchor_idx)
@@ -278,24 +273,15 @@ class IntegratedModel:
         return params
 
     def _lm_outputs(self, tape, mols, want_nodes):
-        """Per-molecule encoder passes; stacked CLS rows and node rows."""
-        cls_rows = []
-        node_rows = []
-        for mol in mols:
-            e_out = self.encoder.forward(tape, mol.tokens.token_ids)
-            if want_nodes:
-                nodes, graph_emb = self.encoder.extract(
-                    tape, e_out, mol.tokens.atom_token_positions
-                )
-                node_rows.append(nodes)
-            else:
-                graph_emb = tape.apply("gather-rows", e_out, indices=np.array([0]))
-            cls_rows.append(graph_emb)
-        stacked_cls = tape.apply("concat-rows", *cls_rows)
-        stacked_nodes = (
-            tape.apply("concat-rows", *node_rows) if want_nodes else None
-        )
-        return stacked_cls, stacked_nodes
+        """One packed encoder pass; CLS rows and (if wanted) atom rows."""
+        packed = pack_batch([mol.tokens for mol in mols])
+        e_out = self.encoder.forward(tape, packed)
+        if want_nodes:
+            nodes, cls_rows = self.encoder.extract(
+                tape, e_out, packed.offsets, packed.atom_rows
+            )
+            return cls_rows, nodes
+        return tape.apply("gather-rows", e_out, indices=packed.offsets[:-1]), None
 
     def _mpnn_readout(self, tape, gb):
         states = self.gnn.run(tape, gb)
@@ -317,28 +303,19 @@ class IntegratedModel:
     # -- strategy forwards --------------------------------------------------
 
     def _forward_mpnn2lm(self, tape, mols, gb, mpnn_states):
-        rows = []
-        base = 0
-        for mol in mols:
-            n_atoms = mol.graph.num_atoms
-            seq_len = len(mol.tokens.token_ids)
-            block = tape.apply(
-                "gather-rows", mpnn_states,
-                indices=np.arange(base, base + n_atoms, dtype=np.int64),
-            )
-            injected = tape.apply(
-                "scatter-add-rows", block,
-                indices=np.asarray(mol.tokens.atom_token_positions, dtype=np.int64),
-                num_rows=seq_len,
-            )
-            e_in = self.encoder.embed(tape, mol.tokens.token_ids)
-            fused = fuse(tape, e_in, injected, self.fusion, self.gate_params)
-            if self.fusion == "concat":
-                fused = tape.apply("matmul", fused, self.mpnn2lm_proj)
-            e_out = self.encoder.encode(tape, fused)
-            rows.append(tape.apply("mean-over-rows", e_out))
-            base += n_atoms
-        pooled = tape.apply("concat-rows", *rows)
+        packed = pack_batch([mol.tokens for mol in mols])
+        # message-passer states are in graph atom order, which is the
+        # order of the atom tokens, so row k lands on atom_rows[k]
+        injected = tape.apply(
+            "scatter-add-rows", mpnn_states, indices=packed.atom_rows,
+            num_rows=len(packed.token_ids),
+        )
+        e_in = self.encoder.embed(tape, packed.token_ids, packed.positions)
+        fused = fuse(tape, e_in, injected, self.fusion, self.gate_params)
+        if self.fusion == "concat":
+            fused = tape.apply("matmul", fused, self.mpnn2lm_proj)
+        e_out = self.encoder.encode(tape, fused, packed.offsets)
+        pooled = tape.apply("segment-mean", e_out, offsets=packed.offsets)
         return self.head.forward(tape, pooled)
 
     def _forward_lm2mpnn(self, tape, gb, lm_node_rows):
@@ -424,14 +401,7 @@ class IntegratedModel:
             return self._prediction_loss(tape, preds, labels), preds, info
 
         # lm2mpnn
-        node_rows = []
-        for mol in mols:
-            e_out = self.encoder.forward(tape, mol.tokens.token_ids)
-            nodes, _ = self.encoder.extract(
-                tape, e_out, mol.tokens.atom_token_positions
-            )
-            node_rows.append(nodes)
-        lm_node_rows = tape.apply("concat-rows", *node_rows)
+        _, lm_node_rows = self._lm_outputs(tape, mols, want_nodes=True)
         preds = self._forward_lm2mpnn(tape, gb, lm_node_rows)
         return self._prediction_loss(tape, preds, labels), preds, info
 
@@ -445,5 +415,15 @@ class IntegratedModel:
         return {p.name: p.values.copy() for p in self.parameters()}
 
     def load_state_dict(self, state):
-        for p in self.parameters():
+        """Copy values in by parameter name; the names must match exactly."""
+        params = self.parameters()
+        names = {p.name for p in params}
+        missing = sorted(names - set(state))
+        unexpected = sorted(set(state) - names)
+        if missing or unexpected:
+            raise ValueError(
+                f"state does not match the model's parameters: missing "
+                f"{missing}, unexpected {unexpected}"
+            )
+        for p in params:
             p.values[:] = state[p.name]

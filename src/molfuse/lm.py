@@ -4,8 +4,8 @@ Produces the three outputs the integration strategies consume: per-atom
 node embeddings (rows of the final hidden state at atom token positions),
 a sequence-level embedding (the CLS row), and a property prediction.
 Blocks are post-layer-norm: x = LN(x + attention(x)); x = LN(x + ffn(x)).
-Attention logits at masked key positions are set to -inf, which makes the
-real-token outputs independent of padding.
+A batch runs as one packed matrix of all its token rows; attention is
+computed per sequence, so no row sees another sequence and none is padded.
 """
 
 import math
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, backward, constant, parameter
+from .autodiff import Tape, backward, parameter
 from .optim import AdamState, adam_step
-from .smiles import Vocabulary
+from .smiles import Vocabulary, pack_batch
 
 
 @dataclass
@@ -41,11 +41,17 @@ def xavier(rng, fan_in, fan_out):
 
 
 class SmilesEncoder:
+    """Runs a whole batch as one packed (rows x d) matrix.
+
+    Every public method works on the packed layout of
+    :func:`molfuse.smiles.pack_batch`: rows of all sequences laid end to
+    end, with ``offsets`` marking where each sequence starts.
+    """
+
     def __init__(self, config, rng):
         self.config = config
         d = config.hidden_dim
         dk = d // config.num_heads
-        self.head_dim = dk
         self.token_embedding = parameter(
             rng.normal(0.0, 0.02, size=(config.vocab_size, d)), "lm.tok_emb"
         )
@@ -54,13 +60,13 @@ class SmilesEncoder:
         )
         self.layers = []
         for n in range(config.num_layers):
+            # column blocks [q heads | k heads | v heads], each head drawn
+            # with its own (d x dk) Xavier limit
+            wqkv = np.concatenate(
+                [xavier(rng, d, dk) for _ in range(3 * config.num_heads)], axis=1
+            )
             layer = {
-                "wq": [parameter(xavier(rng, d, dk), f"lm.{n}.wq{h}")
-                       for h in range(config.num_heads)],
-                "wk": [parameter(xavier(rng, d, dk), f"lm.{n}.wk{h}")
-                       for h in range(config.num_heads)],
-                "wv": [parameter(xavier(rng, d, dk), f"lm.{n}.wv{h}")
-                       for h in range(config.num_heads)],
+                "wqkv": parameter(wqkv, f"lm.{n}.wqkv"),
                 "wo": parameter(xavier(rng, d, d), f"lm.{n}.wo"),
                 "bo": parameter(np.zeros(d), f"lm.{n}.bo"),
                 "ln1_g": parameter(np.ones(d), f"lm.{n}.ln1_g"),
@@ -73,57 +79,48 @@ class SmilesEncoder:
                 "b2": parameter(np.zeros(d), f"lm.{n}.b2"),
             }
             self.layers.append(layer)
-        self._inv_sqrt_dk = constant(1.0 / math.sqrt(dk))
 
     def parameters(self):
         params = [self.token_embedding, self.position_embedding]
         for layer in self.layers:
-            params.extend(layer["wq"] + layer["wk"] + layer["wv"])
-            params.extend(
-                layer[k]
-                for k in ("wo", "bo", "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-                          "w1", "b1", "w2", "b2")
-            )
+            params.extend(layer.values())
         return params
 
     def embed(self, tape, token_ids, positions=None):
-        """Token embedding + learned positional embedding, (seq_len x d)."""
+        """Token embedding + learned positional embedding, (rows x d).
+
+        ``positions`` gives each row's position within its own sequence;
+        by default the rows form one sequence.
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if positions is None:
             positions = np.arange(len(token_ids), dtype=np.int64)
-        if len(token_ids) > self.config.max_len:
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and positions.max() >= self.config.max_len:
             raise IndexError(
-                f"sequence of {len(token_ids)} tokens exceeds max_len "
+                f"sequence of {positions.max() + 1} tokens exceeds max_len "
                 f"{self.config.max_len}"
             )
         tok = tape.apply("gather-rows", self.token_embedding, indices=token_ids)
         pos = tape.apply("gather-rows", self.position_embedding, indices=positions)
         return tape.apply("add", tok, pos)
 
-    def encode(self, tape, e_in, mask=None, collect_attention=None):
-        """Stack of self-attention + feed-forward blocks; shape preserved."""
-        seq_len = e_in.shape[0]
-        if mask is None:
-            mask = np.ones(seq_len, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (seq_len,):
-            raise ValueError(f"mask length {mask.shape} != seq_len {seq_len}")
-        x = e_in
+    def encode(self, tape, x, offsets=None, collect_attention=None):
+        """Stack of self-attention + feed-forward blocks on packed rows.
+
+        ``offsets`` delimit the sequences (default: all rows are one);
+        attention stays within a sequence, everything else is row-wise.
+        ``collect_attention``, when a list, receives every layer's
+        per-sequence (heads x L x L) attention probabilities.
+        """
+        if offsets is None:
+            offsets = np.array([0, x.shape[0]])
         for layer in self.layers:
-            heads = []
-            for h in range(self.config.num_heads):
-                q = tape.apply("matmul", x, layer["wq"][h])
-                k = tape.apply("matmul", x, layer["wk"][h])
-                v = tape.apply("matmul", x, layer["wv"][h])
-                scores = tape.apply("matmul", q, tape.apply("transpose", k))
-                scores = tape.apply("multiply", scores, self._inv_sqrt_dk)
-                probs = tape.apply("masked-softmax", scores, mask=mask)
-                if collect_attention is not None:
-                    collect_attention.append(probs.values)
-                heads.append(tape.apply("matmul", probs, v))
-            ctx = heads[0]
-            for part in heads[1:]:
-                ctx = tape.apply("concat-last-axis", ctx, part)
+            qkv = tape.apply("matmul", x, layer["wqkv"])
+            ctx = tape.apply(
+                "packed-attention", qkv, offsets=offsets,
+                num_heads=self.config.num_heads, collect=collect_attention,
+            )
             attn = tape.apply(
                 "broadcast-add-bias", tape.apply("matmul", ctx, layer["wo"]),
                 layer["bo"],
@@ -149,20 +146,25 @@ class SmilesEncoder:
             )
         return x
 
-    def forward(self, tape, token_ids, mask=None, collect_attention=None):
-        return self.encode(
-            tape, self.embed(tape, token_ids), mask, collect_attention
-        )
+    def forward(self, tape, packed, collect_attention=None):
+        """Final hidden state of a :class:`~molfuse.smiles.PackedBatch`."""
+        e_in = self.embed(tape, packed.token_ids, packed.positions)
+        return self.encode(tape, e_in, packed.offsets, collect_attention)
 
-    def extract(self, tape, e_out, atom_token_positions):
-        """(node embeddings, CLS embedding) from the final hidden state."""
-        positions = np.asarray(atom_token_positions, dtype=np.int64)
-        if positions.size == 0:
+    def extract(self, tape, e_out, offsets, atom_rows):
+        """(node embeddings, CLS embeddings) from the final hidden state.
+
+        The CLS row of sequence i is row offsets[i]; ``atom_rows`` are the
+        packed rows of the atom tokens.
+        """
+        cls_rows = np.asarray(offsets, dtype=np.int64)[:-1]
+        atom_rows = np.asarray(atom_rows, dtype=np.int64)
+        if atom_rows.size == 0:
             raise ValueError("extract: empty atom position list")
-        if (positions == 0).any():
-            raise ValueError("extract: position 0 is the CLS token, not an atom")
-        nodes = tape.apply("gather-rows", e_out, indices=positions)
-        graph_emb = tape.apply("gather-rows", e_out, indices=np.array([0]))
+        if np.isin(atom_rows, cls_rows).any():
+            raise ValueError("extract: a CLS token row is not an atom")
+        nodes = tape.apply("gather-rows", e_out, indices=atom_rows)
+        graph_emb = tape.apply("gather-rows", e_out, indices=cls_rows)
         return nodes, graph_emb
 
 
@@ -227,19 +229,22 @@ def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate=0.15, seed=
             masked.append((seq, picks))
     if not masked:
         return None
+    packed = pack_batch([seq for seq, _ in masked])
+    rows = np.concatenate([
+        packed.offsets[i] + np.asarray(picks, dtype=np.int64)
+        for i, (_, picks) in enumerate(masked)
+    ])
+    ids = packed.token_ids.copy()
+    targets = ids[rows]
+    ids[rows] = Vocabulary.MASK
     tape = Tape()
-    loss = None
-    for seq, picks in masked:
-        ids = np.asarray(seq.token_ids, dtype=np.int64).copy()
-        targets = ids[picks]
-        ids[picks] = Vocabulary.MASK
-        e_out = encoder.forward(tape, ids)
-        rows = tape.apply("gather-rows", e_out, indices=np.asarray(picks))
-        logits = tape.apply(
-            "broadcast-add-bias", tape.apply("matmul", rows, head.w), head.b
-        )
-        piece = tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
-        loss = piece if loss is None else tape.apply("add", loss, piece)
+    e_in = encoder.embed(tape, ids, packed.positions)
+    e_out = encoder.encode(tape, e_in, packed.offsets)
+    picked = tape.apply("gather-rows", e_out, indices=rows)
+    logits = tape.apply(
+        "broadcast-add-bias", tape.apply("matmul", picked, head.w), head.b
+    )
+    loss = tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
     grads = backward(loss, tape)
     full = {p.node_id: grads.get(p.node_id, np.zeros_like(p.values)) for p in params}
     adam_step(params, full, state)

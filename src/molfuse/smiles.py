@@ -455,26 +455,39 @@ def detokenize(sequence):
     return "".join(sequence.raw_tokens[1:])
 
 
-def encode_batch(sequences, vocab, max_len=256):
-    """Right-pad a batch to its longest sequence.
+@dataclass
+class PackedBatch:
+    """A batch of token sequences laid end to end, without padding.
 
-    Returns (id matrix, boolean mask matrix, list of per-row atom
-    positions). A sequence longer than max_len rejects the batch: callers
-    drop that molecule and log it.
+    ``token_ids`` and ``positions`` hold one entry per packed row (the
+    position restarts at 0 for every sequence); sequence ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]``, and its CLS token is row ``offsets[i]``.
+    ``atom_rows`` lists the packed row of every atom token, sequence by
+    sequence, in the order the graph parser emits atoms.
     """
+
+    token_ids: np.ndarray
+    positions: np.ndarray
+    offsets: np.ndarray
+    atom_rows: np.ndarray
+
+
+def pack_batch(sequences):
+    """Concatenate sequences into one PackedBatch (see its docstring)."""
     if not sequences:
-        raise ValueError("encode_batch: empty batch")
-    for k, seq in enumerate(sequences):
-        if len(seq) > max_len:
-            raise SmilesError(
-                f"sequence {k} has {len(seq)} tokens, over the {max_len} limit"
-            )
-    width = max(len(seq) for seq in sequences)
-    ids = np.full((len(sequences), width), Vocabulary.PAD, dtype=np.int64)
-    mask = np.zeros((len(sequences), width), dtype=bool)
-    alignments = []
-    for r, seq in enumerate(sequences):
-        ids[r, : len(seq)] = seq.token_ids
-        mask[r, : len(seq)] = True
-        alignments.append(np.asarray(seq.atom_token_positions, dtype=np.int64))
-    return ids, mask, alignments
+        raise ValueError("pack_batch: empty batch")
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    starts = np.repeat(offsets[:-1], lengths)
+    atom_rows = np.concatenate([
+        offsets[i] + np.asarray(seq.atom_token_positions, dtype=np.int64)
+        for i, seq in enumerate(sequences)
+    ])
+    return PackedBatch(
+        token_ids=np.concatenate(
+            [np.asarray(seq.token_ids, dtype=np.int64) for seq in sequences]
+        ),
+        positions=np.arange(offsets[-1], dtype=np.int64) - starts,
+        offsets=offsets,
+        atom_rows=atom_rows,
+    )

@@ -477,16 +477,14 @@ def attention_core_seconds(seq_len, hidden_dim=64, num_heads=4, repeats=25,
                            seed=0):
     """Median wall time of the O(N^2 d) attention core at one length.
 
-    An untimed same-shape matmul precedes every repeat so a sleeping BLAS
-    thread pool never bills its wake-up to the measurement.
+    Times one ``packed-attention`` op on a single sequence of ``seq_len``
+    rows. An untimed same-shape matmul precedes every repeat so a sleeping
+    BLAS thread pool never bills its wake-up to the measurement.
     """
     rng = np.random.default_rng(seed)
     dk = hidden_dim // num_heads
-    mask = np.ones(seq_len, dtype=bool)
-    qs = [constant(rng.normal(size=(seq_len, dk))) for _ in range(num_heads)]
-    ks = [constant(rng.normal(size=(seq_len, dk))) for _ in range(num_heads)]
-    vs = [constant(rng.normal(size=(seq_len, dk))) for _ in range(num_heads)]
-    scale = constant(1.0 / math.sqrt(dk))
+    qkv = constant(rng.normal(size=(seq_len, 3 * hidden_dim)))
+    offsets = np.array([0, seq_len])
     warm_a = np.ones((seq_len, seq_len))
     warm_b = np.ones((seq_len, dk))
     times = []
@@ -494,11 +492,7 @@ def attention_core_seconds(seq_len, hidden_dim=64, num_heads=4, repeats=25,
         tape = Tape(grad_enabled=False)
         warm_a @ warm_b
         started = time.perf_counter()
-        for q, k, v in zip(qs, ks, vs):
-            scores = tape.apply("matmul", q, tape.apply("transpose", k))
-            scores = tape.apply("multiply", scores, scale)
-            probs = tape.apply("masked-softmax", scores, mask=mask)
-            tape.apply("matmul", probs, v)
+        tape.apply("packed-attention", qkv, offsets=offsets, num_heads=num_heads)
         times.append(time.perf_counter() - started)
     return float(np.median(times[2:]))  # first two are warmup
 

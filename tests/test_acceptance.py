@@ -1,7 +1,8 @@
 """Acceptance suite: one criterion per test, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to watch the lines as they
-appear; a summary lands in acceptance_report.txt either way. The training
+appear; a summary lands in acceptance_report.txt at the repository root
+either way. The training
 criteria exercise the bundled full-size datasets and take tens of minutes
 on a laptop-class CPU.
 """
@@ -25,7 +26,14 @@ from molfuse.integration import (
     build_triples,
     triplet_loss,
 )
-from molfuse.smiles import Vocabulary, parse, tokenize, tokenize_raw
+from molfuse.smiles import (
+    TokenSequence,
+    Vocabulary,
+    pack_batch,
+    parse,
+    tokenize,
+    tokenize_raw,
+)
 from molfuse.training import (
     RunConfig,
     attention_scaling,
@@ -43,8 +51,9 @@ from tests.test_integration import (
     zero_mpnn_input,
 )
 
-ESOL = str(Path(__file__).resolve().parent.parent / "data" / "esol.csv")
-BBBP = str(Path(__file__).resolve().parent.parent / "data" / "bbbp.csv")
+ROOT = Path(__file__).resolve().parent.parent
+ESOL = str(ROOT / "data" / "esol.csv")
+BBBP = str(ROOT / "data" / "bbbp.csv")
 
 RESULTS = []
 
@@ -60,7 +69,7 @@ def record(criterion, passed, detail=""):
 def summary_report():
     yield
     text = "\n".join(RESULTS) + "\n"
-    Path("acceptance_report.txt").write_text(text)
+    (ROOT / "acceptance_report.txt").write_text(text)
     print("\n" + text)
 
 
@@ -153,8 +162,8 @@ def test_c3_loss_oracles():
 def test_c4_neutrality_identities():
     """Zero cross-embeddings reduce the joint fusions to their baselines
     bitwise (the encoder-injection variant pools the token mean by design,
-    so its check compares the shared encoder output bitwise plus the
-    prediction against a weight-sharing mean-pooled reference); zero
+    so its check compares the shared packed encoder output bitwise plus
+    the prediction against a weight-sharing mean-pooled reference); zero
     contrast weights reduce both contrastive losses to baseline losses."""
     checks = []
 
@@ -166,17 +175,18 @@ def test_c4_neutrality_identities():
     states = model.gnn.run(tape, gb)
     checks.append(not states.values.any())
     preds = model._forward_mpnn2lm(tape, mols, gb, states)
+    packed = pack_batch([m.tokens for m in mols])
     ref_tape = Tape(grad_enabled=False)
-    rows = []
-    for mol in mols:
-        e_out_base = model.encoder.forward(ref_tape, mol.tokens.token_ids)
-        inj = Tape(grad_enabled=False)
-        e_in = model.encoder.embed(inj, mol.tokens.token_ids)
-        zeros = constant(np.zeros(e_in.shape))
-        e_out_inj = model.encoder.encode(inj, inj.apply("add", e_in, zeros))
-        checks.append(np.array_equal(e_out_inj.values, e_out_base.values))
-        rows.append(ref_tape.apply("mean-over-rows", e_out_base))
-    ref = model.head.forward(ref_tape, ref_tape.apply("concat-rows", *rows))
+    e_out_base = model.encoder.forward(ref_tape, packed)
+    inj = Tape(grad_enabled=False)
+    e_in = model.encoder.embed(inj, packed.token_ids, packed.positions)
+    zeros = constant(np.zeros(e_in.shape))
+    e_out_inj = model.encoder.encode(
+        inj, inj.apply("add", e_in, zeros), packed.offsets
+    )
+    checks.append(np.array_equal(e_out_inj.values, e_out_base.values))
+    pooled = ref_tape.apply("segment-mean", e_out_base, offsets=packed.offsets)
+    ref = model.head.forward(ref_tape, pooled)
     checks.append(np.array_equal(preds.values, ref.values))
 
     model = tiny_model("lm2mpnn", fusion="sum")
@@ -220,8 +230,8 @@ def test_c4_neutrality_identities():
 
 def test_c5_structural_invariances():
     """Permutation invariance and batch independence of the message
-    passer (< 1e-9), pad invariance of the encoder (< 1e-9), attention
-    rows normalized (< 1e-12) with zeros at masked keys."""
+    passer (< 1e-9), batch invariance of the packed encoder (< 1e-9),
+    attention rows normalized (< 1e-12) and confined to their sequence."""
     from molfuse.gnn import GnnConfig, Mpnn
     from molfuse.lm import EncoderConfig, SmilesEncoder
 
@@ -254,33 +264,35 @@ def test_c5_structural_invariances():
                       ffn_dim=256, max_len=64),
         np.random.default_rng(0),
     )
-    ids = np.array([0, 5, 6, 7, 8, 9])
+
+    def sequence(ids):
+        return TokenSequence(
+            token_ids=ids, mask=[True] * len(ids),
+            atom_token_positions=list(range(1, len(ids))), raw_tokens=[],
+        )
+
+    target = sequence([0, 5, 6, 7, 8, 9])
     tape = Tape(grad_enabled=False)
-    base = encoder.encode(tape, encoder.embed(tape, ids)).values
-    padded_ids = np.concatenate([ids, np.ones(10, dtype=np.int64)])
-    mask = np.arange(16) < 6
+    base = encoder.forward(tape, pack_batch([target])).values
+    packed = pack_batch([sequence([0, 9, 8]), target, sequence(list(range(16)))])
     attn = []
-    tape = Tape(grad_enabled=False)
-    padded = encoder.encode(
-        tape, encoder.embed(tape, padded_ids), mask, collect_attention=attn
-    ).values
-    pad_drift = np.abs(padded[:6] - base).max()
-    attn_row_err = max(
-        np.abs(probs[mask].sum(axis=-1) - 1.0).max() for probs in attn
-    )
-    masked_zero = all((probs[:, ~mask] == 0).all() for probs in attn)
+    batch = encoder.forward(tape, packed, collect_attention=attn).values
+    batch_drift_lm = np.abs(batch[packed.offsets[1]:packed.offsets[2]] - base).max()
+    attn_row_err = max(np.abs(probs.sum(axis=-1) - 1.0).max() for probs in attn)
+    # one (heads x L x L) block per sequence: no row sees another sequence
+    own_rows = [p.shape for p in attn] == [(4, 3, 3), (4, 6, 6), (4, 16, 16)] * 3
 
     passed = (
         perm_drift < 1e-9
         and batch_drift < 1e-9
-        and pad_drift < 1e-9
+        and batch_drift_lm < 1e-9
         and attn_row_err < 1e-12
-        and masked_zero
+        and own_rows
     )
     record(
         "5 invariances", passed,
-        f"perm {perm_drift:.1e}, batch {batch_drift:.1e}, pad {pad_drift:.1e}, "
-        f"attn {attn_row_err:.1e}",
+        f"perm {perm_drift:.1e}, batch {batch_drift:.1e}, "
+        f"encoder batch {batch_drift_lm:.1e}, attn {attn_row_err:.1e}",
     )
 
 
@@ -312,7 +324,7 @@ def test_c6_determinism(tmp_path):
 @pytest.mark.parametrize("dataset,task,label", [
     (ESOL, "regression", "esol"),
     (BBBP, "binary-classification", "bbbp"),
-])
+], ids=["esol", "bbbp"])
 def test_c7_desk_scale_learning(dataset, task, label):
     """Every strategy beats the naive baseline on the full bundled
     datasets within 50 epochs, well under 30 min per seed."""

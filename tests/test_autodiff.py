@@ -28,22 +28,46 @@ class TestForwardExamples:
         out = tape.apply("add", constant([1.0, 2.0]), constant([3.0, 4.0]))
         np.testing.assert_array_equal(out.values, [4.0, 6.0])
 
-    def test_masked_softmax_symmetry(self):
-        tape = Tape()
-        out = tape.apply(
-            "masked-softmax", constant([0.0, 0.0]), mask=np.array([True, True])
+    def test_packed_attention_equal_scores_are_uniform(self):
+        # zero queries give equal scores: every row of a sequence of
+        # length L attends 1/L to each of its rows, so its output is the
+        # mean of that sequence's value rows
+        rng = np.random.default_rng(0)
+        offsets = np.array([0, 2, 5])
+        qkv = rng.normal(size=(5, 12))
+        qkv[:, :4] = 0.0
+        probs = []
+        out = Tape().apply(
+            "packed-attention", constant(qkv), offsets=offsets, num_heads=2,
+            collect=probs,
         )
-        np.testing.assert_allclose(out.values, [0.5, 0.5], atol=0)
+        assert [p.shape for p in probs] == [(2, 2, 2), (2, 3, 3)]
+        np.testing.assert_array_equal(probs[0], np.full((2, 2, 2), 0.5))
+        np.testing.assert_array_equal(probs[1], np.full((2, 3, 3), 1.0 / 3.0))
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            np.testing.assert_allclose(
+                out.values[lo:hi],
+                np.broadcast_to(qkv[lo:hi, 8:].mean(axis=0), (hi - lo, 4)),
+                rtol=1e-14, atol=1e-15,
+            )
 
-    def test_masked_softmax_zeroes_masked(self):
-        tape = Tape()
-        out = tape.apply(
-            "masked-softmax",
-            constant([[1.0, 2.0, 3.0]]),
-            mask=np.array([True, False, True]),
-        )
-        assert out.values[0, 1] == 0.0
-        assert abs(out.values.sum() - 1.0) < 1e-12
+    def test_packed_attention_stays_within_sequence(self):
+        rng = np.random.default_rng(1)
+        offsets = np.array([0, 3, 4, 8])
+        qkv = rng.normal(size=(8, 12))
+        base = Tape().apply(
+            "packed-attention", constant(qkv), offsets=offsets, num_heads=2
+        ).values
+        changed = qkv.copy()
+        changed[3:] = rng.normal(size=(5, 12)) * 100.0
+        out = Tape().apply(
+            "packed-attention", constant(changed), offsets=offsets, num_heads=2
+        ).values
+        np.testing.assert_array_equal(out[:3], base[:3])
+        alone = Tape().apply(
+            "packed-attention", constant(qkv[:3]), offsets=[0, 3], num_heads=2
+        ).values
+        np.testing.assert_array_equal(alone, base[:3])
 
     def test_pnorm_345(self):
         tape = Tape()
@@ -107,6 +131,22 @@ class TestErrors:
         with pytest.raises(IndexError):
             Tape().apply("gather-rows", constant(np.ones((2, 2))), indices=[5])
 
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 2, 4], [0, 3, 1, 4]])
+    def test_packed_attention_rejects_empty_sequence(self, offsets):
+        with pytest.raises(ValueError, match="empty"):
+            Tape().apply(
+                "packed-attention", constant(np.ones((4, 6))),
+                offsets=offsets, num_heads=1,
+            )
+
+    @pytest.mark.parametrize("offsets", [[0, 3], [1, 4], [0, 2, 5], [], [0]])
+    def test_packed_attention_rejects_non_covering_offsets(self, offsets):
+        with pytest.raises(ShapeError, match="packed-attention"):
+            Tape().apply(
+                "packed-attention", constant(np.ones((4, 6))),
+                offsets=offsets, num_heads=1,
+            )
 
 class TestBackwardExamples:
     def test_sum_of_squares(self):

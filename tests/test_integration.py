@@ -18,7 +18,7 @@ from molfuse.integration import (
     triplet_loss,
 )
 from molfuse.lm import EncoderConfig
-from molfuse.smiles import Vocabulary, parse, tokenize
+from molfuse.smiles import Vocabulary, pack_batch, parse, tokenize
 
 from tests.conftest import CURATED_CORPUS
 
@@ -377,29 +377,26 @@ class TestMpnn2Lm:
     def test_zero_states_match_baseline_encoder_bitwise(self):
         model = tiny_model("mpnn2lm", fusion="sum")
         zero_mpnn_input(model)
-        mols = mols_for(["CC(=O)O"])
+        mols = mols_for(["CC(=O)O", "C1CC1"])
         gb = GraphBatch.from_graphs([m.graph for m in mols])
         tape = Tape(grad_enabled=False)
         states = model.gnn.run(tape, gb)
         assert not states.values.any()  # exactly zero
         preds = model._forward_mpnn2lm(tape, mols, gb, states)
 
+        packed = pack_batch([m.tokens for m in mols])
         ref_tape = Tape(grad_enabled=False)
-        e_out = model.encoder.forward(ref_tape, mols[0].tokens.token_ids)
+        e_out = model.encoder.forward(ref_tape, packed)
         inj_tape = Tape(grad_enabled=False)
+        e_in = model.encoder.embed(inj_tape, packed.token_ids, packed.positions)
         e_out_inj = model.encoder.encode(
             inj_tape,
-            inj_tape.apply(
-                "add",
-                model.encoder.embed(inj_tape, mols[0].tokens.token_ids),
-                constant(np.zeros((len(mols[0].tokens.token_ids), 8))),
-            ),
+            inj_tape.apply("add", e_in, constant(np.zeros(e_in.shape))),
+            packed.offsets,
         )
         np.testing.assert_array_equal(e_out_inj.values, e_out.values)
-        pooled = ref_tape.apply("mean-over-rows", e_out)
-        ref = model.head.forward(
-            ref_tape, ref_tape.apply("concat-rows", pooled)
-        )
+        pooled = ref_tape.apply("segment-mean", e_out, offsets=packed.offsets)
+        ref = model.head.forward(ref_tape, pooled)
         np.testing.assert_array_equal(preds.values, ref.values)
 
     def test_non_atom_rows_get_zero_injection(self):
@@ -420,34 +417,29 @@ class TestMpnn2Lm:
         assert (injected.values[non_atom] == 0).all()
         assert injected.values[seq.atom_token_positions].any()
 
-    def test_pad_invariance_after_injection(self):
+    def test_batch_invariance_after_injection(self):
+        # CCO's pooled encoder output alone and packed between a shorter
+        # and a longer molecule, with message-passer states injected
         model = tiny_model("mpnn2lm")
-        mols = mols_for(["CCO"])
-        gb = GraphBatch.from_graphs([m.graph for m in mols])
-        seq = mols[0].tokens
-        real = len(seq.token_ids)
 
-        def pooled_with_pads(n_pads):
+        def pooled(smiles):
+            mols = mols_for(smiles)
+            gb = GraphBatch.from_graphs([m.graph for m in mols])
             tape = Tape(grad_enabled=False)
             states = model.gnn.run(tape, gb)
-            ids = np.concatenate(
-                [seq.token_ids, np.full(n_pads, Vocabulary.PAD, dtype=np.int64)]
-            )
-            mask = np.arange(real + n_pads) < real
+            packed = pack_batch([m.tokens for m in mols])
             injected = tape.apply(
-                "scatter-add-rows", states,
-                indices=np.asarray(seq.atom_token_positions),
-                num_rows=real + n_pads,
+                "scatter-add-rows", states, indices=packed.atom_rows,
+                num_rows=len(packed.token_ids),
             )
-            e_in = model.encoder.embed(tape, ids)
+            e_in = model.encoder.embed(tape, packed.token_ids, packed.positions)
             fused = fuse(tape, e_in, injected, "sum")
-            e_out = model.encoder.encode(tape, fused, mask)
-            kept = tape.apply(
-                "gather-rows", e_out, indices=np.arange(real, dtype=np.int64)
-            )
-            return tape.apply("mean-over-rows", kept).values
+            e_out = model.encoder.encode(tape, fused, packed.offsets)
+            return tape.apply("segment-mean", e_out, offsets=packed.offsets).values
 
-        assert np.abs(pooled_with_pads(0) - pooled_with_pads(7)).max() <= 1e-9
+        alone = pooled(["CCO"])[0]
+        batch = pooled(["C", "CCO", "C1=CC=C(C=C1)O"])[1]
+        assert np.abs(alone - batch).max() <= 1e-9
 
     def test_concat_projection_keeps_width(self):
         model = tiny_model("mpnn2lm", fusion="concat")
@@ -546,3 +538,44 @@ class TestAllStrategiesOnCorpus:
         mols = mols_for(["CCO", "C1CC1"])
         loss, _, _ = model.forward_batch(Tape(), mols, batch_seed=0)
         assert np.isfinite(loss.values)
+
+
+class TestPackedEncoderBatch:
+    @pytest.mark.parametrize(
+        "strategy", [s for s in STRATEGIES if s != "mpnn-baseline"]
+    )
+    def test_fewer_than_200_tape_records_per_32_molecule_batch(
+        self, strategy, corpus_smiles
+    ):
+        model = IntegratedModel(
+            strategy, vocab_size=len(VOCAB),
+            encoder_config=EncoderConfig(
+                vocab_size=len(VOCAB), hidden_dim=8, num_layers=3, num_heads=4,
+                ffn_dim=12, max_len=64,
+            ),
+            gnn_config=GnnConfig(hidden_dim=8, message_steps=3, edge_hidden=6),
+        )
+        smiles = (corpus_smiles * 2)[:32]
+        tape = Tape()
+        model.forward_batch(tape, mols_for(smiles), batch_seed=0)
+        assert len(tape.records) < 200
+
+
+class TestLoadStateDict:
+    def test_round_trip(self):
+        source = tiny_model("late-fusion", seed=1)
+        target = tiny_model("late-fusion", seed=2)
+        target.load_state_dict(source.state_dict())
+        for a, b in zip(source.parameters(), target.parameters()):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    def test_mismatch_names_missing_and_unexpected(self):
+        # a checkpoint in the per-head layout of earlier versions
+        model = tiny_model("lm-baseline")
+        state = model.state_dict()
+        del state["lm.0.wqkv"]
+        state["lm.0.wq0"] = np.zeros((8, 4))
+        with pytest.raises(ValueError) as exc:
+            model.load_state_dict(state)
+        assert "missing ['lm.0.wqkv']" in str(exc.value)
+        assert "unexpected ['lm.0.wq0']" in str(exc.value)

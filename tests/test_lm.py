@@ -11,7 +11,7 @@ from molfuse.lm import (
     run_mlm_pretraining,
 )
 from molfuse.optim import AdamState
-from molfuse.smiles import Vocabulary, tokenize
+from molfuse.smiles import TokenSequence, Vocabulary, pack_batch, tokenize
 
 
 def small_config(**overrides):
@@ -21,6 +21,14 @@ def small_config(**overrides):
     return EncoderConfig(**base)
 
 
+def token_sequence(ids):
+    """TokenSequence over raw ids whose non-CLS tokens all count as atoms."""
+    return TokenSequence(
+        token_ids=list(ids), mask=[True] * len(ids),
+        atom_token_positions=list(range(1, len(ids))), raw_tokens=[],
+    )
+
+
 @pytest.fixture
 def encoder():
     return SmilesEncoder(small_config(), np.random.default_rng(0))
@@ -28,10 +36,7 @@ def encoder():
 
 def zero_block_weights(enc):
     for layer in enc.layers:
-        for key in ("wq", "wk", "wv"):
-            for w in layer[key]:
-                w.values[:] = 0.0
-        for key in ("wo", "bo", "w1", "b1", "w2", "b2"):
+        for key in ("wqkv", "wo", "bo", "w1", "b1", "w2", "b2"):
             layer[key].values[:] = 0.0
 
 
@@ -73,15 +78,20 @@ class TestEncode:
         out = encoder.encode(tape, e)
         assert out.shape == (10, 16)
 
-    def test_pad_invariance(self, encoder):
-        ids = np.array([0, 4, 5, 6, 7])
+    def test_batch_invariance(self, encoder):
+        # a sequence's rows encoded alone match the same sequence packed
+        # between a shorter and a longer one
+        seqs = [
+            token_sequence([0, 4]),
+            token_sequence([0, 4, 5, 6, 7]),
+            token_sequence([0, 7, 6, 5, 4, 3, 2, 1]),
+        ]
         tape = Tape(grad_enabled=False)
-        base = encoder.encode(tape, encoder.embed(tape, ids)).values
-        padded_ids = np.concatenate([ids, np.full(6, Vocabulary.PAD)])
-        mask = np.array([True] * 5 + [False] * 6)
-        tape = Tape(grad_enabled=False)
-        padded = encoder.encode(tape, encoder.embed(tape, padded_ids), mask).values
-        assert np.abs(padded[:5] - base).max() <= 1e-9
+        alone = encoder.forward(tape, pack_batch(seqs[1:2])).values
+        packed = pack_batch(seqs)
+        batch = encoder.forward(tape, packed).values
+        inside = batch[packed.offsets[1]:packed.offsets[2]]
+        assert np.abs(inside - alone).max() <= 1e-9
 
     def test_zero_weights_leaves_layernorm_composition(self, encoder):
         zero_block_weights(encoder)
@@ -106,16 +116,14 @@ class TestEncode:
         np.testing.assert_array_equal(out.values, e_in.values)
 
     def test_attention_rows_are_probabilities(self, encoder):
-        ids = np.array([0, 4, 5, 6, 1, 1])
-        mask = np.array([True, True, True, True, False, False])
+        packed = pack_batch([token_sequence([0, 4, 5, 6]), token_sequence([0, 1])])
         attn = []
-        tape = Tape(grad_enabled=False)
-        encoder.encode(tape, encoder.embed(tape, ids), mask, collect_attention=attn)
-        assert len(attn) == 2 * 2  # layers x heads
+        encoder.forward(Tape(grad_enabled=False), packed, collect_attention=attn)
+        # layers x sequences, each (heads x L x L)
+        assert [p.shape for p in attn] == [(2, 4, 4), (2, 2, 2)] * 2
         for probs in attn:
             assert (probs >= 0).all()
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-            assert (probs[:, ~mask] == 0).all()
 
 
 class TestExtract:
@@ -125,22 +133,24 @@ class TestExtract:
         enc = SmilesEncoder(small_config(vocab_size=len(vocab)),
                             np.random.default_rng(0))
         tape = Tape(grad_enabled=False)
-        e_out = enc.forward(tape, seq.token_ids)
-        nodes, graph_emb = enc.extract(tape, e_out, seq.atom_token_positions)
-        assert nodes.shape == (7, 16)
+        packed = pack_batch([seq, seq])
+        e_out = enc.forward(tape, packed)
+        nodes, graph_emb = enc.extract(tape, e_out, packed.offsets, packed.atom_rows)
+        assert nodes.shape == (14, 16)
         np.testing.assert_array_equal(graph_emb.values[0], e_out.values[0])
+        np.testing.assert_array_equal(graph_emb.values[1], e_out.values[15])
 
     def test_empty_positions_error(self, encoder):
         tape = Tape(grad_enabled=False)
-        e_out = encoder.forward(tape, np.array([0, 4, 5]))
+        e_out = encoder.encode(tape, encoder.embed(tape, np.array([0, 4, 5])))
         with pytest.raises(ValueError, match="empty"):
-            encoder.extract(tape, e_out, [])
+            encoder.extract(tape, e_out, [0, 3], [])
 
     def test_cls_position_rejected(self, encoder):
         tape = Tape(grad_enabled=False)
-        e_out = encoder.forward(tape, np.array([0, 4, 5]))
+        e_out = encoder.encode(tape, encoder.embed(tape, np.array([0, 4, 5])))
         with pytest.raises(ValueError, match="CLS"):
-            encoder.extract(tape, e_out, [0, 1])
+            encoder.extract(tape, e_out, [0, 3], [0, 1])
 
 
 class TestPredictionHead:

@@ -5,7 +5,7 @@ from molfuse.smiles import (
     SmilesError,
     Vocabulary,
     detokenize,
-    encode_batch,
+    pack_batch,
     parse,
     tokenize,
     tokenize_raw,
@@ -177,25 +177,30 @@ class TestAlignment:
             assert detokenize(tokenize(s, vocab)) == s
 
 
-class TestEncodeBatch:
-    def test_padding(self, vocab):
+class TestPackBatch:
+    def test_offsets_positions_and_atom_rows(self, vocab):
         seqs = [tokenize("CCO", vocab), tokenize("C", vocab)]
-        ids, mask, aligns = encode_batch(seqs, vocab)
-        assert ids.shape == (2, 4)
-        assert mask[1].tolist() == [True, True, False, False]
-        assert ids[1, 2] == Vocabulary.PAD
-        np.testing.assert_array_equal(aligns[0], [1, 2, 3])
+        packed = pack_batch(seqs)
+        np.testing.assert_array_equal(packed.offsets, [0, 4, 6])
+        np.testing.assert_array_equal(packed.positions, [0, 1, 2, 3, 0, 1])
+        np.testing.assert_array_equal(
+            packed.token_ids, seqs[0].token_ids + seqs[1].token_ids
+        )
+        np.testing.assert_array_equal(packed.atom_rows, [1, 2, 3, 5])
 
-    def test_single_sequence_all_true(self, vocab):
-        ids, mask, _ = encode_batch([tokenize("CCO", vocab)], vocab)
-        assert mask.all()
+    def test_single_sequence_is_unchanged(self, vocab):
+        seq = tokenize("CC(=O)O", vocab)
+        packed = pack_batch([seq])
+        np.testing.assert_array_equal(packed.token_ids, seq.token_ids)
+        np.testing.assert_array_equal(packed.positions, np.arange(len(seq)))
+        np.testing.assert_array_equal(packed.atom_rows, seq.atom_token_positions)
 
     def test_identical_rows(self, vocab):
         seqs = [tokenize("CC(=O)O", vocab) for _ in range(3)]
-        ids, _, _ = encode_batch(seqs, vocab)
-        assert (ids[0] == ids[1]).all() and (ids[1] == ids[2]).all()
+        packed = pack_batch(seqs)
+        blocks = packed.token_ids.reshape(3, -1)
+        assert (blocks[0] == blocks[1]).all() and (blocks[1] == blocks[2]).all()
 
-    def test_over_length_rejected(self, vocab):
-        seq = tokenize("C" * 60, vocab)
-        with pytest.raises(SmilesError, match="over the 32"):
-            encode_batch([seq], vocab, max_len=32)
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            pack_batch([])
