@@ -11,9 +11,8 @@ Op kinds
 add, subtract, multiply, matmul, concat-last-axis, concat-rows,
 elementwise-max, relu, sigmoid, tanh, packed-attention, layer-normalize,
 mean-over-rows, sum-over-rows, gather-rows, scatter-add-rows, segment-mean,
-edge-message, typed-edge-message, p-norm-of-difference, broadcast-add-bias,
-dropout, squared-error, binary-cross-entropy-with-logit,
-cross-entropy-with-logits.
+typed-edge-message, p-norm-of-difference, broadcast-add-bias, dropout,
+squared-error, binary-cross-entropy-with-logit, cross-entropy-with-logits.
 
 ``add``, ``subtract`` and ``multiply`` accept one scalar (0-d) operand and
 broadcast it; all other shape combinations must match exactly.
@@ -324,8 +323,9 @@ def _op_sigmoid(inputs, kw):
     _require_arity("sigmoid", inputs, 1)
     x = inputs[0]
     v = x.values
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                   np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))  # in (0, 1]: never overflows
+    denom = 1.0 + e
+    out = np.where(v >= 0, 1.0 / denom, e / denom)
 
     def bwd(g, acc):
         acc(x, g * out * (1.0 - out))
@@ -517,48 +517,16 @@ def _op_segment_mean(inputs, kw):
     return kernels.segment_mean(np.ascontiguousarray(x.values), offsets), bwd
 
 
-@_register("edge-message")
-def _op_edge_message(inputs, kw):
-    _require_arity("edge-message", inputs, 2)
-    a_flat, h = inputs
-    src = np.asarray(kw["src"], dtype=np.int64)
-    dst = np.asarray(kw["dst"], dtype=np.int64)
-    w = h.shape[1] if h.values.ndim == 2 else 0
-    if (
-        h.values.ndim != 2
-        or a_flat.values.ndim != 2
-        or a_flat.shape != (len(src), w * w)
-        or len(src) != len(dst)
-    ):
-        raise ShapeError("edge-message", a_flat.shape, h.shape)
-    n = h.shape[0]
-    if src.size and (
-        src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n
-    ):
-        raise IndexError("edge-message: dangling edge index")
-
-    def bwd(g, acc):
-        ga, gh = kernels.edge_message_grad(
-            np.ascontiguousarray(g), a_flat.values, h.values, src, dst
-        )
-        acc(a_flat, ga)
-        acc(h, gh)
-
-    out = kernels.edge_message(
-        np.ascontiguousarray(a_flat.values), np.ascontiguousarray(h.values),
-        src, dst, n,
-    )
-    return out, bwd
-
-
 @_register("typed-edge-message")
 def _op_typed_edge_message(inputs, kw):
-    """edge-message where edges share a small set of matrices.
+    """Edge-conditioned messages m[dst[e]] += A_type(e) @ h[src[e]].
 
     a_types holds one flattened (w x w) matrix per edge type; ``order``
     lists edge ids grouped by type with ``bounds`` delimiting the groups.
-    Per type the messages reduce to one BLAS matmul plus a scatter-add,
-    which is how the message pass stays fast on dense molecule batches.
+    The source rows are gathered once in type order, each type's messages
+    are one BLAS matmul into a shared (E x w) buffer, and one scatter-add
+    sums the buffer into the destinations, in ``order``. The backward pass
+    mirrors it with one scatter-add into the sources.
     """
     a_types, h = inputs
     src = np.asarray(kw["src"], dtype=np.int64)
@@ -581,29 +549,29 @@ def _op_typed_edge_message(inputs, kw):
     ):
         raise IndexError("typed-edge-message: dangling edge index")
     hv = h.values
-    out = np.zeros((n, w), dtype=np.float64)
     mats = a_types.values.reshape(num_types, w, w)
-    for k in range(num_types):
-        sel = order[bounds[k]:bounds[k + 1]]
-        if not len(sel):
-            continue
-        msgs = hv[src[sel]] @ mats[k].T
-        kernels.scatter_add_into(out, msgs, dst[sel])
+    src_by_type = src[order]
+    dst_by_type = dst[order]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    h_src = hv[src_by_type]
+    msgs = np.empty_like(h_src)
+    for k, (lo, hi) in enumerate(spans):
+        np.matmul(h_src[lo:hi], mats[k].T, out=msgs[lo:hi])
+    out = kernels.scatter_add_into(
+        np.zeros((n, w), dtype=np.float64), msgs, dst_by_type
+    )
 
     def bwd(g, acc):
-        g = np.ascontiguousarray(g)
+        # gathered again rather than kept, so the tape holds no (E x w) rows
+        g_dst = np.ascontiguousarray(g)[dst_by_type]
+        h_src = hv[src_by_type]
         grad_a = np.zeros_like(a_types.values)
-        grad_h = np.zeros_like(hv)
-        for k in range(num_types):
-            sel = order[bounds[k]:bounds[k + 1]]
-            if not len(sel):
-                continue
-            gm = g[dst[sel]]
-            h_src = hv[src[sel]]
-            grad_a[k] = (gm.T @ h_src).reshape(-1)
-            kernels.scatter_add_into(grad_h, gm @ mats[k], src[sel])
+        back = np.empty_like(g_dst)
+        for k, (lo, hi) in enumerate(spans):
+            grad_a[k] = (g_dst[lo:hi].T @ h_src[lo:hi]).reshape(-1)
+            np.matmul(g_dst[lo:hi], mats[k], out=back[lo:hi])
         acc(a_types, grad_a)
-        acc(h, grad_h)
+        acc(h, kernels.scatter_add_into(np.zeros_like(hv), back, src_by_type))
 
     return out, bwd
 
@@ -865,11 +833,6 @@ def _trial_inputs(kind, shape, rng):
         cut = rng.integers(1, n) if n > 1 else 1
         offsets = [0, int(cut), n] if n > 1 else [0, 1]
         return [rand((n, d))], {"offsets": np.array(offsets)}
-    if kind == "edge-message":
-        num_edges = n + 1
-        src = rng.integers(0, n, size=num_edges)
-        dst = rng.integers(0, n, size=num_edges)
-        return [rand((num_edges, d * d)), rand((n, d))], {"src": src, "dst": dst}
     if kind == "typed-edge-message":
         num_edges = n + 2
         num_types = 2

@@ -49,6 +49,8 @@ class DataRecord:
     smiles: str
     label: float
     row_index: int
+    # the parsed graph, kept by load_csv so set-up parses each SMILES once
+    graph: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -159,7 +161,7 @@ def load_csv(path, smiles_column, label_column, task):
                 result.quarantined.append(QuarantineEntry(i, smiles, str(exc)))
                 continue
             result.warnings += len(graph.warnings)
-            result.records.append(DataRecord(smiles, label, i))
+            result.records.append(DataRecord(smiles, label, i, graph))
     if not result.records:
         raise ValueError(f"{path}: no usable records")
     return result

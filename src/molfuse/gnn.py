@@ -39,8 +39,9 @@ class GnnConfig:
 class GraphBatch:
     """Block-diagonal concatenation of molecular graphs.
 
-    Every bond appears twice in the directed edge arrays (u->v and v->u),
-    sharing its feature row.
+    Every bond appears twice in the directed edge arrays, sharing its
+    feature row: bond j of the batch is edge 2j (u->v) and edge 2j+1
+    (v->u).
     """
 
     def __init__(self, node_features, edge_src, edge_dst, edge_features, offsets):
@@ -62,30 +63,42 @@ class GraphBatch:
     def from_graphs(cls, graphs):
         if not graphs:
             raise ValueError("empty graph batch")
-        feats, src, dst, efeats = [], [], [], []
-        offsets = [0]
-        base = 0
-        for g in graphs:
-            feats.append(g.node_features)
-            for j, b in enumerate(g.bonds):
-                src.extend((base + b.u, base + b.v))
-                dst.extend((base + b.v, base + b.u))
-                efeats.extend((g.edge_features[j], g.edge_features[j]))
-            base += g.num_atoms
-            offsets.append(base)
-        node_features = np.concatenate(feats, axis=0)
+        sizes = [g.num_atoms for g in graphs]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        # (bonds x 2) endpoint pairs, shifted to the batch's node numbering
+        pairs = np.array(
+            [(b.u, b.v) for g in graphs for b in g.bonds], dtype=np.int64
+        ).reshape(-1, 2)
+        pairs += np.repeat(offsets[:-1], [g.num_bonds for g in graphs])[:, None]
+        bonded = [g.edge_features for g in graphs if g.bonds]
         edge_features = (
-            np.asarray(efeats, dtype=np.float64)
-            if efeats
+            np.concatenate(bonded, axis=0)
+            if bonded
             else np.zeros((0, EDGE_FEATURE_DIM))
         )
         return cls(
-            node_features,
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            edge_features,
-            np.asarray(offsets, dtype=np.int64),
+            np.concatenate([g.node_features for g in graphs], axis=0),
+            pairs.reshape(-1),
+            pairs[:, ::-1].reshape(-1),
+            np.repeat(edge_features, 2, axis=0),
+            offsets,
         )
+
+
+def edge_types(rows):
+    """Group edges by their feature row: (unique rows, order, bounds).
+
+    Bond feature rows are near-categorical. One stable lexicographic sort
+    lists the edge ids by type, ascending within a type, and each sorted
+    row that differs from its predecessor starts a type; ``bounds``
+    delimits the types in ``order``. The unique rows come out in
+    ``np.unique(rows, axis=0)`` order. ``rows`` must have at least one row.
+    """
+    order = np.lexsort(rows.T[::-1])
+    sorted_rows = rows[order]
+    starts = np.flatnonzero((sorted_rows[1:] != sorted_rows[:-1]).any(axis=1))
+    bounds = np.concatenate([[0], starts + 1, [len(rows)]]).astype(np.int64)
+    return sorted_rows[bounds[:-1]], order, bounds
 
 
 class Mpnn:
@@ -152,39 +165,11 @@ class Mpnn:
             "broadcast-add-bias", tape.apply("matmul", hidden, self.we2), self.be2
         )
 
-    def edge_matrices(self, tape, batch, edge_features=None):
-        """Per-edge (w x w) matrices, flattened to (num_edges x w*w).
-
-        Bond feature rows are near-categorical, so the perceptron runs on
-        the unique rows and the results are gathered back per edge (same
-        values, far fewer flops).
-        """
-        gather_back = None
-        if edge_features is None:
-            rows = batch.edge_features
-            unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-            if len(unique) < len(rows):
-                gather_back = inverse.reshape(-1).astype(np.int64)
-                rows = unique
-            ef = constant(rows)
-        else:
-            ef = edge_features
-        a_flat = self._edge_mlp(tape, ef)
-        if gather_back is not None:
-            a_flat = tape.apply("gather-rows", a_flat, indices=gather_back)
-        return a_flat
-
     def _message_operator(self, tape, batch):
         """message_fn(tape, states) with the edge network evaluated once
         per unique bond feature row and applied per type via BLAS."""
-        unique, inverse = np.unique(
-            batch.edge_features, axis=0, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
+        unique, order, bounds = edge_types(batch.edge_features)
         a_types = self._edge_mlp(tape, constant(unique))
-        order = np.argsort(inverse, kind="stable").astype(np.int64)
-        counts = np.bincount(inverse, minlength=len(unique))
-        bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         src, dst = batch.edge_src, batch.edge_dst
 
         def message_fn(t, states):
@@ -194,12 +179,6 @@ class Mpnn:
             )
 
         return message_fn
-
-    def message(self, tape, states, a_flat, batch):
-        return tape.apply(
-            "edge-message", a_flat, states,
-            src=batch.edge_src, dst=batch.edge_dst,
-        )
 
     def update(self, tape, states, messages):
         """Gated update: h' = (1 - z) * h + z * tanh(Wm m + Wh (r * h))."""

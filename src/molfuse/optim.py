@@ -44,12 +44,22 @@ def adam_step(params, grads, state):
         g = grads[p.node_id]
         m = state.m[p.node_id]
         v = state.v[p.node_id]
+        # two temporaries per parameter, in the operation order of
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+        # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        step = np.multiply(1.0 - b1, g, out=np.empty_like(m))
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += step
+        denom = np.divide(v, bias2, out=np.empty_like(v))
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bias1, out=step)
+        np.multiply(state.lr, step, out=step)
+        step /= denom
+        p.values -= step
         p.checked = False  # values changed; revalidate on next use
     return params, state

@@ -236,7 +236,11 @@ def evaluate(model, mols, task, batch_size=64):
 
 
 def prepare_molecules(records, vocab, max_len):
-    """EncodedMolecule list; over-long sequences are dropped and counted."""
+    """EncodedMolecule list; over-long sequences are dropped and counted.
+
+    A record's graph is reused when ``load_csv`` kept it; a record without
+    one is parsed here.
+    """
     mols = []
     dropped = 0
     unknown = 0
@@ -246,7 +250,8 @@ def prepare_molecules(records, vocab, max_len):
             dropped += 1
             continue
         unknown += seq.unknown_tokens
-        mols.append(EncodedMolecule(parse(rec.smiles), seq, rec.label))
+        graph = rec.graph if rec.graph is not None else parse(rec.smiles)
+        mols.append(EncodedMolecule(graph, seq, rec.label))
     return mols, dropped, unknown
 
 

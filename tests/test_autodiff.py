@@ -165,6 +165,19 @@ class TestBackwardExamples:
         grads = backward(loss, tape)
         assert grads[x.node_id] == pytest.approx(0.25, abs=1e-15)
 
+    def test_sigmoid_bitwise_three_exp_formula(self, rng):
+        v = np.concatenate([
+            [-700.0, 700.0, -745.0, 745.0, -1e3, 1e3, 0.0, -0.0, 1e-300, -1e-300],
+            rng.normal(scale=20.0, size=200),
+        ]).reshape(15, 14)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = Tape().apply("sigmoid", constant(v)).values
+        with np.errstate(all="ignore"):
+            ref = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                           np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+        np.testing.assert_array_equal(out, ref)
+        assert out[0, 0] > 0.0 and out[0, 1] == 1.0
+
     def test_fanout_accumulates(self):
         tape = Tape()
         x = parameter(3.0)

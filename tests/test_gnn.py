@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from molfuse.autodiff import Tape, backward, constant, fd_gradients, parameter
-from molfuse.gnn import GnnConfig, GraphBatch, GraphConv, Mpnn, build_gnn
-from molfuse.smiles import parse
+from molfuse.gnn import (
+    GnnConfig, GraphBatch, GraphConv, Mpnn, build_gnn, edge_types,
+)
+from molfuse.smiles import EDGE_FEATURE_DIM, parse
 
 
 def cfg(**overrides):
@@ -44,6 +46,87 @@ class TestGraphBatch:
         assert b.num_nodes == 7 and b.num_graphs == 3
 
 
+def per_edge_messages(a_flat, h, src, dst):
+    """Plain per-edge reference: m[dst[e]] += A_e @ h[src[e]], with A_e the
+    (w x w) matrix a_flat[e], edges added in id order."""
+    w = h.shape[1]
+    out = np.zeros_like(h)
+    for e in range(len(src)):
+        out[dst[e]] += a_flat[e].reshape(w, w) @ h[src[e]]
+    return out
+
+
+def per_edge_message_grads(g, a_flat, h, src, dst):
+    """Gradients of sum(g * per_edge_messages(...)) w.r.t. a_flat and h."""
+    w = h.shape[1]
+    grad_a = np.empty_like(a_flat)
+    grad_h = np.zeros_like(h)
+    for e in range(len(src)):
+        grad_a[e] = np.outer(g[dst[e]], h[src[e]]).reshape(-1)
+        grad_h[src[e]] += a_flat[e].reshape(w, w).T @ g[dst[e]]
+    return grad_a, grad_h
+
+
+def typed_messages(a_types, h, src, dst, order, bounds):
+    return Tape().apply(
+        "typed-edge-message", constant(a_types), constant(h),
+        src=src, dst=dst, order=order, bounds=bounds,
+    ).values
+
+
+def per_bond_batch(graphs):
+    """Reference batch build: one (u->v, v->u) edge pair per bond."""
+    src, dst, efeats, offsets = [], [], [], [0]
+    for g in graphs:
+        base = offsets[-1]
+        for j, b in enumerate(g.bonds):
+            src.extend((base + b.u, base + b.v))
+            dst.extend((base + b.v, base + b.u))
+            efeats.extend((g.edge_features[j], g.edge_features[j]))
+        offsets.append(base + g.num_atoms)
+    return src, dst, np.array(efeats).reshape(len(src), EDGE_FEATURE_DIM), offsets
+
+
+class TestBatchBuild:
+    @pytest.mark.parametrize("smiles", [
+        ["CCO", "C", "c1ccccc1C(=O)N", "C"],
+        ["C"],
+        ["C", "O"],
+        ["N#Cc1ccccc1"],
+    ])
+    def test_from_graphs_matches_per_bond_reference(self, smiles):
+        graphs = [parse(s) for s in smiles]
+        b = GraphBatch.from_graphs(graphs)
+        src, dst, efeats, offsets = per_bond_batch(graphs)
+        assert b.edge_src.dtype == b.edge_dst.dtype == np.int64
+        assert b.offsets.dtype == np.int64
+        np.testing.assert_array_equal(b.edge_src, src)
+        np.testing.assert_array_equal(b.edge_dst, dst)
+        assert b.edge_features.dtype == np.float64
+        np.testing.assert_array_equal(b.edge_features, efeats)
+        np.testing.assert_array_equal(b.offsets, offsets)
+        np.testing.assert_array_equal(
+            b.node_features, np.concatenate([g.node_features for g in graphs])
+        )
+
+    @pytest.mark.parametrize("kind", ["mixed", "one type"])
+    def test_edge_types_match_unique_argsort_bincount(self, kind):
+        if kind == "mixed":
+            rows = batch_of(
+                ["N#Cc1ccccc1", "CC(=O)O", "C1CC1", "C=CC#N", "c1ccncc1O", "C"]
+            ).edge_features
+            rows = np.concatenate([rows, rows[::3]])  # more repeats, reordered
+        else:
+            rows = np.ones((3, EDGE_FEATURE_DIM))
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        got_unique, order, bounds = edge_types(rows)
+        np.testing.assert_array_equal(got_unique, unique)
+        np.testing.assert_array_equal(order, np.argsort(inverse, kind="stable"))
+        counts = np.bincount(inverse, minlength=len(unique))
+        np.testing.assert_array_equal(bounds, np.concatenate([[0], np.cumsum(counts)]))
+
+
 class TestEdgeNetwork:
     def test_identity_bias_gives_identity_matrices(self):
         model = Mpnn(cfg(), np.random.default_rng(0))
@@ -53,20 +136,20 @@ class TestEdgeNetwork:
         model.be1.values[:] = 0.0
         model.be2.values[:] = np.eye(d).reshape(-1)
         b = batch_of(["CCO"])
-        a_flat = model.edge_matrices(Tape(), b)
+        a_flat = model._edge_mlp(Tape(), constant(b.edge_features))
         for e in range(a_flat.shape[0]):
             np.testing.assert_array_equal(a_flat.values[e].reshape(d, d), np.eye(d))
 
     def test_output_shape(self):
         model = Mpnn(cfg(), np.random.default_rng(0))
         b = batch_of(["C1CC1"])
-        a_flat = model.edge_matrices(Tape(), b)
+        a_flat = model._edge_mlp(Tape(), constant(b.edge_features))
         assert a_flat.shape == (6, 64)
 
     def test_width_mismatch(self):
         model = Mpnn(cfg(), np.random.default_rng(0))
         with pytest.raises(ValueError, match="width"):
-            model.edge_matrices(Tape(), None, edge_features=constant(np.ones((2, 7))))
+            model._edge_mlp(Tape(), constant(np.ones((2, 7))))
 
     def test_gradient_wrt_edge_features(self):
         rng = np.random.default_rng(4)
@@ -75,7 +158,7 @@ class TestEdgeNetwork:
 
         def run():
             tape = Tape()
-            out = model.edge_matrices(tape, None, edge_features=ef)
+            out = model._edge_mlp(tape, ef)
             s = tape.apply("sum-over-rows", out)
             return tape.apply("sum-over-rows", s), tape
 
@@ -89,10 +172,11 @@ class TestEdgeNetwork:
 
 def identity_messages(model, batch, states):
     d = states.shape[1]
-    a = constant(np.tile(np.eye(d).reshape(-1), (len(batch.edge_src), 1)))
-    return Tape().apply(
-        "edge-message", a, constant(states), src=batch.edge_src, dst=batch.edge_dst
-    ).values
+    edges = len(batch.edge_src)
+    return typed_messages(
+        np.eye(d).reshape(1, -1), states, batch.edge_src, batch.edge_dst,
+        np.arange(edges), np.array([0, edges]),
+    )
 
 
 class TestMessagePass:
@@ -120,22 +204,73 @@ class TestMessagePass:
 
     def test_dangling_edge_rejected(self):
         with pytest.raises(IndexError, match="dangling"):
-            Tape().apply(
-                "edge-message",
-                constant(np.ones((1, 4))), constant(np.ones((2, 2))),
-                src=[0], dst=[5],
+            typed_messages(
+                np.ones((1, 4)), np.ones((2, 2)),
+                src=[0], dst=[5], order=[0], bounds=[0, 1],
             )
 
     def test_typed_route_matches_per_edge_route(self):
         rng = np.random.default_rng(12)
         model = Mpnn(cfg(hidden_dim=6), rng)
         b = batch_of(["C1=CC=C(C=C1)O", "CC(=O)O"])
-        h = constant(rng.normal(size=(b.num_nodes, 6)))
+        h = rng.normal(size=(b.num_nodes, 6))
         tape = Tape(grad_enabled=False)
-        dense = model.message(tape, h, model.edge_matrices(tape, b), b)
-        typed_fn = model._message_operator(tape, b)
-        typed = typed_fn(tape, h)
-        np.testing.assert_allclose(typed.values, dense.values, atol=1e-12)
+        a_flat = model._edge_mlp(tape, constant(b.edge_features)).values
+        dense = per_edge_messages(a_flat, h, b.edge_src, b.edge_dst)
+        typed = model._message_operator(tape, b)(tape, constant(h))
+        np.testing.assert_allclose(typed.values, dense, atol=1e-12)
+
+
+class TestTypedEdgeMessageOracle:
+    """typed-edge-message against the plain per-edge reference, each edge
+    taking its type's matrix; one type is left without edges."""
+
+    @pytest.fixture
+    def case(self, rng):
+        n, d, e, types = 12, 5, 30, 4
+        type_of = rng.integers(0, types - 1, size=e)  # the last type is empty
+        counts = np.bincount(type_of, minlength=types)
+        return {
+            "a_types": rng.normal(size=(types, d * d)),
+            "h": rng.normal(size=(n, d)),
+            "src": rng.integers(0, n, size=e),
+            "dst": rng.integers(0, n, size=e),
+            "type_of": type_of,
+            "order": np.argsort(type_of, kind="stable"),
+            "bounds": np.concatenate([[0], np.cumsum(counts)]),
+        }
+
+    def test_forward(self, case):
+        typed = typed_messages(
+            case["a_types"], case["h"], case["src"], case["dst"],
+            case["order"], case["bounds"],
+        )
+        ref = per_edge_messages(
+            case["a_types"][case["type_of"]], case["h"], case["src"], case["dst"]
+        )
+        np.testing.assert_allclose(typed, ref, atol=1e-12)
+
+    def test_backward(self, case, rng):
+        a_types, h = parameter(case["a_types"]), parameter(case["h"])
+        g = rng.normal(size=case["h"].shape)
+        tape = Tape()
+        out = tape.apply(
+            "typed-edge-message", a_types, h, src=case["src"], dst=case["dst"],
+            order=case["order"], bounds=case["bounds"],
+        )
+        loss = tape.apply(
+            "sum-over-rows",
+            tape.apply("sum-over-rows", tape.apply("multiply", out, constant(g))),
+        )
+        grads = backward(loss, tape)
+        grad_edge, grad_h = per_edge_message_grads(
+            g, case["a_types"][case["type_of"]], case["h"], case["src"],
+            case["dst"],
+        )
+        grad_types = np.zeros_like(case["a_types"])
+        np.add.at(grad_types, case["type_of"], grad_edge)
+        np.testing.assert_allclose(grads[a_types.node_id], grad_types, atol=1e-12)
+        np.testing.assert_allclose(grads[h.node_id], grad_h, atol=1e-12)
 
 
 class TestUpdate:

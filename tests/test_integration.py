@@ -476,8 +476,7 @@ class TestLm2Mpnn:
         lmm = rng.normal(size=(2, d))
         tape = Tape(grad_enabled=False)
         fused = fuse(tape, constant(h), constant(lmm), "sum")
-        a_flat = model.gnn.edge_matrices(tape, gb)
-        m = model.gnn.message(tape, fused, a_flat, gb)
+        m = model.gnn._message_operator(tape, gb)(tape, fused)
         np.testing.assert_allclose(m.values[0], h[1] + lmm[1], rtol=1e-15)
         np.testing.assert_allclose(m.values[1], h[0] + lmm[0], rtol=1e-15)
 

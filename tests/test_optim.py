@@ -52,3 +52,26 @@ def test_t_increments_once_per_call_with_many_params():
     state = AdamState(ps)
     adam_step(ps, {p.node_id: np.ones(2) for p in ps}, state)
     assert state.t == 1
+
+
+def test_bitwise_equal_to_textbook_update(rng):
+    """The in-place update gives the bits of the textbook expressions."""
+    shapes = [(3, 4), (5,), ()]
+    # small values, so that a step's last bits survive the subtraction
+    params = [parameter(1e-3 * rng.normal(size=s)) for s in shapes]
+    ref_values = [p.values.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    state = AdamState(params, lr=0.003)
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        adam_step(params, {p.node_id: g for p, g in zip(params, grads)}, state)
+        for i, g in enumerate(grads):
+            ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+            ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
+            m_hat = ref_m[i] / (1.0 - b1**t)
+            v_hat = ref_v[i] / (1.0 - b2**t)
+            ref_values[i] = ref_values[i] - 0.003 * m_hat / (np.sqrt(v_hat) + eps)
+        for p, ref in zip(params, ref_values):
+            np.testing.assert_array_equal(p.values, ref)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
-from molfuse.data import REGRESSION, CLASSIFICATION
+from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
+from molfuse.smiles import Vocabulary, parse
 from molfuse.synthdata import write_dataset
 from molfuse.training import (
     RunConfig,
@@ -82,6 +83,38 @@ class TestEvaluate:
         mols = [Rec(0.0), Rec(1.0)]
         assert evaluate(TwoLogits(), mols, CLASSIFICATION) == 1.0
         assert logistic(0.0) == 0.5
+
+
+class TestPrepareMolecules:
+    def test_set_up_parses_each_smiles_once(self, tiny_csv, monkeypatch):
+        from molfuse import data, smiles, training
+        from molfuse.data import load_csv
+
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return smiles.parse(text)
+
+        monkeypatch.setattr(data, "parse", counted)
+        monkeypatch.setattr(training, "parse", counted)
+        loaded = load_csv(tiny_csv, "smiles", "log_solubility", REGRESSION)
+        parsed_by_load = len(calls)
+        vocab = Vocabulary.build(r.smiles for r in loaded.records)
+        mols, dropped, _ = training.prepare_molecules(loaded.records, vocab, 512)
+        assert dropped == 0 and len(mols) == len(loaded.records)
+        assert len(calls) == parsed_by_load
+        assert all(m.graph is r.graph for m, r in zip(mols, loaded.records))
+
+    def test_record_without_graph_is_parsed(self):
+        from molfuse.training import prepare_molecules
+
+        vocab = Vocabulary.build(["CCO"])
+        mols, _, _ = prepare_molecules([DataRecord("CCO", 1.0, 0)], vocab, 64)
+        ref = parse("CCO")
+        assert mols[0].graph.num_atoms == 3
+        np.testing.assert_array_equal(mols[0].graph.node_features, ref.node_features)
+        np.testing.assert_array_equal(mols[0].graph.edge_features, ref.edge_features)
 
 
 class TestTrainOne:
