@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation over float64 numpy buffers.
 
 A :class:`Tape` records operations as they execute; :func:`backward` walks
-the record list once in reverse and accumulates gradients per node id.
+the record list once in reverse, consuming it, and accumulates gradients per
+node id.
 Tapes are rebuilt for every forward pass, so the seven model wirings in
 this package need no graph compiler. Everything is float64 and
 deterministic given identical input bits (dropout takes an explicit seed).
@@ -11,8 +12,13 @@ Op kinds
 add, subtract, multiply, matmul, concat-last-axis, concat-rows,
 elementwise-max, relu, sigmoid, tanh, packed-attention, layer-normalize,
 mean-over-rows, sum-over-rows, gather-rows, scatter-add-rows, segment-mean,
-typed-edge-message, p-norm-of-difference, broadcast-add-bias, dropout,
-squared-error, binary-cross-entropy-with-logit, cross-entropy-with-logits.
+typed-edge-message, p-norm-of-difference, dropout, squared-error,
+binary-cross-entropy-with-logit, cross-entropy-with-logits.
+
+``matmul`` takes an optional third input, a bias row added to every output
+row; ``layer-normalize`` takes an optional fourth input, a residual added
+to x before normalizing. Both save a tape record and a buffer over the
+separate add.
 
 ``add``, ``subtract`` and ``multiply`` accept one scalar (0-d) operand and
 broadcast it; all other shape combinations must match exactly.
@@ -81,13 +87,19 @@ def constant(values):
 class Tape:
     """Ordered operation record; inputs always precede their consumers.
 
+    ``records`` holds one ``(output node_id, backward closure)`` pair per
+    recorded op; ``watched`` holds the tape's leaves: the requires-grad
+    inputs that no record produced (parameters, gradient-check inputs).
     With ``grad_enabled=False`` the tape validates and computes but records
-    nothing (used for evaluation passes).
+    nothing (used for evaluation passes). :func:`backward` consumes the
+    tape; it cannot be walked twice.
     """
 
     grad_enabled: bool = True
     records: list = field(default_factory=list)
-    watched: dict = field(default_factory=dict)  # node_id -> Tensor (requires_grad)
+    watched: dict = field(default_factory=dict)  # node_id -> leaf Tensor
+    produced: set = field(default_factory=set, repr=False)  # record output ids
+    consumed: bool = False
 
     def apply(self, kind, *inputs, **kwargs):
         op = _OPS.get(kind)
@@ -108,12 +120,13 @@ class Tape:
         track = self.grad_enabled and any(t.requires_grad for t in inputs)
         out = Tensor(out_values, requires_grad=track)
         if track:
-            watched = self.watched
+            watched, produced = self.watched, self.produced
             for t in inputs:
-                if t.requires_grad and t.node_id not in watched:
-                    watched[t.node_id] = t
+                nid = t.node_id
+                if t.requires_grad and nid not in produced and nid not in watched:
+                    watched[nid] = t
             self.records.append((out.node_id, backward_fn))
-            watched[out.node_id] = out
+            produced.add(out.node_id)
         return out
 
     def detach(self, tensor):
@@ -122,24 +135,30 @@ class Tape:
 
 
 def backward(loss, tape):
-    """Gradient of a scalar loss w.r.t. every recorded requires_grad tensor.
+    """Gradient of a scalar loss w.r.t. every leaf of the tape.
 
-    Returns a dict keyed by node_id. Recorded tensors that do not feed the
-    loss get exactly-zero gradients. Each tensor's ``grad`` slot is set to
-    its entry (overwritten, not accumulated across calls).
+    Consumes the tape: records are popped as they run and each
+    intermediate gradient is dropped once its record has used it, so the
+    buffers the forward saved are freed during the walk. Returns a dict
+    keyed by the node_id of each leaf in ``tape.watched``; leaves that do
+    not feed the loss get exactly-zero gradients. Each leaf's ``grad``
+    slot is set to its entry (overwritten, not accumulated across calls);
+    intermediate tensors get no gradient.
     """
     if loss.values.shape != ():
         raise ValueError(
             f"backward requires a scalar loss, got shape {loss.values.shape}"
         )
+    if tape.consumed:
+        raise RuntimeError("backward: the tape was consumed by an earlier backward")
+    tape.consumed = True
     grads = {loss.node_id: np.ones((), dtype=np.float64)}
     owned = {loss.node_id}
 
-    def accumulate(tensor, grad):
+    def accumulate(nid, grad):
         # copy-on-write: single-consumer nodes keep the incoming buffer
         # (possibly a view); a second contribution forces an owned copy
         # before the in-place add so no shared buffer is ever mutated.
-        nid = tensor.node_id
         entry = grads.get(nid)
         if entry is None:
             grads[nid] = grad
@@ -150,11 +169,13 @@ def backward(loss, tape):
                 owned.add(nid)
             entry += grad
 
-    for output_id, backward_fn in reversed(tape.records):
-        grad_out = grads.get(output_id)
-        if grad_out is None:
-            continue
-        backward_fn(grad_out, accumulate)
+    records = tape.records
+    while records:
+        output_id, backward_fn = records.pop()
+        grad_out = grads.pop(output_id, None)
+        if grad_out is not None:
+            owned.discard(output_id)
+            backward_fn(grad_out, accumulate)
 
     result = {}
     for node_id, tensor in tape.watched.items():
@@ -168,6 +189,12 @@ def backward(loss, tape):
 
 # ---------------------------------------------------------------------------
 # op implementations: each returns (output values, backward closure)
+#
+# A closure calls acc(node_id, gradient) once per input that requires a
+# gradient, and computes nothing for the others. It keeps an input Tensor
+# only where its backward reads that input's values; otherwise it keeps
+# the node id and the shapes it needs, so the forward's other buffers can
+# be freed as soon as nothing else holds them.
 # ---------------------------------------------------------------------------
 
 _OPS = {}
@@ -181,13 +208,19 @@ def _register(kind):
     return deco
 
 
-def _unary(t):
-    return t[0] if len(t) == 1 else None
-
-
-def _require_arity(kind, inputs, n):
-    if len(inputs) != n:
+def _require_arity(kind, inputs, *counts):
+    if len(inputs) not in counts:
         raise ShapeError(kind, *[t.shape for t in inputs])
+
+
+def _grad_id(t):
+    """node_id of an input that needs a gradient, else None."""
+    return t.node_id if t is not None and t.requires_grad else None
+
+
+def _kept(t, reader_id):
+    """``t`` when the gradient of node ``reader_id`` reads its values."""
+    return t if reader_id is not None else None
 
 
 def _elementwise_shapes(kind, a, b):
@@ -207,10 +240,14 @@ def _op_add(inputs, kw):
     _require_arity("add", inputs, 2)
     a, b = inputs
     _elementwise_shapes("add", a, b)
+    ia, ib = _grad_id(a), _grad_id(b)
+    sa, sb = a.shape, b.shape
 
     def bwd(g, acc):
-        acc(a, _reduce_to(g, a.shape))
-        acc(b, _reduce_to(g, b.shape))
+        if ia is not None:
+            acc(ia, _reduce_to(g, sa))
+        if ib is not None:
+            acc(ib, _reduce_to(g, sb))
 
     return a.values + b.values, bwd
 
@@ -220,10 +257,14 @@ def _op_subtract(inputs, kw):
     _require_arity("subtract", inputs, 2)
     a, b = inputs
     _elementwise_shapes("subtract", a, b)
+    ia, ib = _grad_id(a), _grad_id(b)
+    sa, sb = a.shape, b.shape
 
     def bwd(g, acc):
-        acc(a, _reduce_to(g, a.shape))
-        acc(b, _reduce_to(-g, b.shape))
+        if ia is not None:
+            acc(ia, _reduce_to(g, sa))
+        if ib is not None:
+            acc(ib, _reduce_to(-g, sb))
 
     return a.values - b.values, bwd
 
@@ -233,26 +274,48 @@ def _op_multiply(inputs, kw):
     _require_arity("multiply", inputs, 2)
     a, b = inputs
     _elementwise_shapes("multiply", a, b)
+    ia, ib = _grad_id(a), _grad_id(b)
+    sa, sb = a.shape, b.shape
+    ka, kb = _kept(a, ib), _kept(b, ia)
 
     def bwd(g, acc):
-        acc(a, _reduce_to(g * b.values, a.shape))
-        acc(b, _reduce_to(g * a.values, b.shape))
+        if ia is not None:
+            acc(ia, _reduce_to(g * kb.values, sa))
+        if ib is not None:
+            acc(ib, _reduce_to(g * ka.values, sb))
 
     return a.values * b.values, bwd
 
 
 @_register("matmul")
 def _op_matmul(inputs, kw):
-    _require_arity("matmul", inputs, 2)
-    a, b = inputs
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
+    """a @ b, plus ``bias`` broadcast over the rows when a third input is
+    given (the bias is added in place to the product)."""
+    _require_arity("matmul", inputs, 2, 3)
+    a, b = inputs[:2]
+    bias = inputs[2] if len(inputs) == 3 else None
+    if (
+        a.values.ndim != 2
+        or b.values.ndim != 2
+        or a.shape[1] != b.shape[0]
+        or (bias is not None and bias.shape != (b.shape[1],))
+    ):
+        raise ShapeError("matmul", *[t.shape for t in inputs])
+    ia, ib, ibias = _grad_id(a), _grad_id(b), _grad_id(bias)
+    ka, kb = _kept(a, ib), _kept(b, ia)
+    out = a.values @ b.values
+    if bias is not None:
+        out += bias.values
 
     def bwd(g, acc):
-        acc(a, g @ b.values.T)
-        acc(b, a.values.T @ g)
+        if ibias is not None:
+            acc(ibias, g.sum(axis=0))
+        if ia is not None:
+            acc(ia, g @ kb.values.T)
+        if ib is not None:
+            acc(ib, ka.values.T @ g)
 
-    return a.values @ b.values, bwd
+    return out, bwd
 
 
 @_register("concat-last-axis")
@@ -262,10 +325,13 @@ def _op_concat_last(inputs, kw):
     if a.values.ndim != b.values.ndim or a.shape[:-1] != b.shape[:-1]:
         raise ShapeError("concat-last-axis", a.shape, b.shape)
     wa = a.shape[-1]
+    ia, ib = _grad_id(a), _grad_id(b)
 
     def bwd(g, acc):
-        acc(a, g[..., :wa])
-        acc(b, g[..., wa:])
+        if ia is not None:
+            acc(ia, g[..., :wa])
+        if ib is not None:
+            acc(ib, g[..., wa:])
 
     return np.concatenate([a.values, b.values], axis=-1), bwd
 
@@ -278,13 +344,14 @@ def _op_concat_rows(inputs, kw):
     width = rows[0].shape[1]
     if any(r.shape[1] != width for r in rows):
         raise ShapeError("concat-rows", *[t.shape for t in inputs])
-    counts = [r.shape[0] for r in rows]
+    pieces = [(_grad_id(t), r.shape[0], t.values.ndim) for t, r in zip(inputs, rows)]
 
     def bwd(g, acc):
         lo = 0
-        for t, n in zip(inputs, counts):
-            piece = g[lo:lo + n]
-            acc(t, piece if t.values.ndim == 2 else piece[0])
+        for nid, n, ndim in pieces:
+            if nid is not None:
+                piece = g[lo:lo + n]
+                acc(nid, piece if ndim == 2 else piece[0])
             lo += n
 
     return np.concatenate(rows, axis=0), bwd
@@ -297,10 +364,13 @@ def _op_max(inputs, kw):
     if a.shape != b.shape:
         raise ShapeError("elementwise-max", a.shape, b.shape)
     take_a = a.values >= b.values  # ties route to the first operand
+    ia, ib = _grad_id(a), _grad_id(b)
 
     def bwd(g, acc):
-        acc(a, g * take_a)
-        acc(b, g * ~take_a)
+        if ia is not None:
+            acc(ia, g * take_a)
+        if ib is not None:
+            acc(ib, g * ~take_a)
 
     return np.maximum(a.values, b.values), bwd
 
@@ -309,11 +379,12 @@ def _op_max(inputs, kw):
 def _op_relu(inputs, kw):
     _require_arity("relu", inputs, 1)
     x = inputs[0]
+    ix = x.node_id
     out = np.maximum(x.values, 0.0)
-    active = x.values > 0.0  # gradient at exactly 0 is 0
 
     def bwd(g, acc):
-        acc(x, g * active)
+        # out > 0 exactly where the input is; the gradient at 0 is 0
+        acc(ix, g * (out > 0.0))
 
     return out, bwd
 
@@ -322,13 +393,14 @@ def _op_relu(inputs, kw):
 def _op_sigmoid(inputs, kw):
     _require_arity("sigmoid", inputs, 1)
     x = inputs[0]
+    ix = x.node_id
     v = x.values
     e = np.exp(-np.abs(v))  # in (0, 1]: never overflows
     denom = 1.0 + e
     out = np.where(v >= 0, 1.0 / denom, e / denom)
 
     def bwd(g, acc):
-        acc(x, g * out * (1.0 - out))
+        acc(ix, g * out * (1.0 - out))
 
     return out, bwd
 
@@ -337,10 +409,11 @@ def _op_sigmoid(inputs, kw):
 def _op_tanh(inputs, kw):
     _require_arity("tanh", inputs, 1)
     x = inputs[0]
+    ix = x.node_id
     out = np.tanh(x.values)
 
     def bwd(g, acc):
-        acc(x, g * (1.0 - out * out))
+        acc(ix, g * (1.0 - out * out))
 
     return out, bwd
 
@@ -373,6 +446,7 @@ def _op_packed_attention(inputs, kw):
         raise ShapeError("packed-attention", qkv.shape, offsets.shape)
     if (np.diff(offsets) <= 0).any():
         raise ValueError("packed-attention: empty or non-increasing segment")
+    iqkv = qkv.node_id
     d = qkv.shape[1] // 3
     dk = d // heads
     scale = 1.0 / np.sqrt(dk)
@@ -404,38 +478,60 @@ def _op_packed_attention(inputs, kw):
             grad[lo:hi] = np.stack([gq, gk, gv]).transpose(2, 0, 1, 3).reshape(
                 length, 3 * d
             )
-        acc(qkv, grad)
+        acc(iqkv, grad)
 
     return out, bwd
 
 
 @_register("layer-normalize")
 def _op_layer_norm(inputs, kw):
-    _require_arity("layer-normalize", inputs, 3)
-    x, gain, bias = inputs
+    """Layer norm over the last axis of x, or of x + residual when a
+    fourth input is given (a post-LN block's skip connection)."""
+    _require_arity("layer-normalize", inputs, 3, 4)
+    x, gain, bias = inputs[:3]
+    residual = inputs[3] if len(inputs) == 4 else None
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError("layer-normalize", x.shape, gain.shape, bias.shape)
+    if (
+        gain.shape != (d,)
+        or bias.shape != (d,)
+        or (residual is not None and residual.shape != x.shape)
+    ):
+        raise ShapeError("layer-normalize", *[t.shape for t in inputs])
+    ix, igain, ibias, ires = (_grad_id(t) for t in (x, gain, bias, residual))
+    need_gx = ix is not None or ires is not None
+    kgain = gain if need_gx else None
     eps = kw.get("eps", _LN_EPS)
-    mu = x.values.mean(axis=-1, keepdims=True)
-    centered = x.values - mu
+    if residual is None:
+        centered = x.values - x.values.mean(axis=-1, keepdims=True)
+    else:
+        centered = x.values + residual.values
+        centered -= centered.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    out = centered * inv
+    out *= gain.values
+    out += bias.values
+    axes = tuple(range(x.values.ndim - 1))
 
     def bwd(g, acc):
-        gx_hat = g * gain.values
-        gvar = (gx_hat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-        gmu = (-gx_hat * inv).sum(axis=-1, keepdims=True) + gvar * (
-            -2.0 * centered.mean(axis=-1, keepdims=True)
-        )
-        gx = gx_hat * inv + gvar * 2.0 * centered / d + gmu / d
-        acc(x, gx)
-        axes = tuple(range(x.values.ndim - 1))
-        acc(gain, (g * xhat).sum(axis=axes) if axes else g * xhat)
-        acc(bias, g.sum(axis=axes) if axes else g)
+        if need_gx:
+            gx_hat = g * kgain.values
+            gvar = (gx_hat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+            gmu = (-gx_hat * inv).sum(axis=-1, keepdims=True) + gvar * (
+                -2.0 * centered.mean(axis=-1, keepdims=True)
+            )
+            gx = gx_hat * inv + gvar * 2.0 * centered / d + gmu / d
+            if ix is not None:
+                acc(ix, gx)
+            if ires is not None:
+                acc(ires, gx)
+        if igain is not None:
+            g_xhat = g * (centered * inv)
+            acc(igain, g_xhat.sum(axis=axes) if axes else g_xhat)
+        if ibias is not None:
+            acc(ibias, g.sum(axis=axes) if axes else g)
 
-    return xhat * gain.values + bias.values, bwd
+    return out, bwd
 
 
 @_register("mean-over-rows")
@@ -444,10 +540,11 @@ def _op_mean_rows(inputs, kw):
     x = inputs[0]
     if x.values.ndim not in (1, 2) or x.shape[0] == 0:
         raise ShapeError("mean-over-rows", x.shape)
-    n = x.shape[0]
+    ix, shape = x.node_id, x.shape
+    n = shape[0]
 
     def bwd(g, acc):
-        acc(x, np.broadcast_to(np.asarray(g) / n, x.shape).copy())
+        acc(ix, np.broadcast_to(np.asarray(g) / n, shape).copy())
 
     return x.values.mean(axis=0), bwd
 
@@ -458,9 +555,10 @@ def _op_sum_rows(inputs, kw):
     x = inputs[0]
     if x.values.ndim not in (1, 2):
         raise ShapeError("sum-over-rows", x.shape)
+    ix, shape = x.node_id, x.shape
 
     def bwd(g, acc):
-        acc(x, np.broadcast_to(np.asarray(g), x.shape).copy())
+        acc(ix, np.broadcast_to(np.asarray(g), shape).copy())
 
     return x.values.sum(axis=0), bwd
 
@@ -476,9 +574,10 @@ def _op_gather_rows(inputs, kw):
         raise IndexError(
             f"gather-rows: index out of range for {x.shape[0]} rows"
         )
+    ix, num_rows = x.node_id, x.shape[0]
 
     def bwd(g, acc):
-        acc(x, kernels.scatter_add_rows(np.ascontiguousarray(g), idx, x.shape[0]))
+        acc(ix, kernels.scatter_add_rows(np.ascontiguousarray(g), idx, num_rows))
 
     return x.values[idx], bwd
 
@@ -493,9 +592,10 @@ def _op_scatter_rows(inputs, kw):
         raise ShapeError("scatter-add-rows", x.shape, idx.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise IndexError(f"scatter-add-rows: index out of range for {num_rows} rows")
+    ix = x.node_id
 
     def bwd(g, acc):
-        acc(x, np.ascontiguousarray(g)[idx])
+        acc(ix, np.ascontiguousarray(g)[idx])
 
     return kernels.scatter_add_rows(np.ascontiguousarray(x.values), idx, num_rows), bwd
 
@@ -509,10 +609,10 @@ def _op_segment_mean(inputs, kw):
         raise ShapeError("segment-mean", x.shape, offsets.shape)
     if (np.diff(offsets) <= 0).any():
         raise ValueError("segment-mean: empty or non-increasing segment")
-    n = x.shape[0]
+    ix, n = x.node_id, x.shape[0]
 
     def bwd(g, acc):
-        acc(x, kernels.segment_mean_grad(np.ascontiguousarray(g), offsets, n))
+        acc(ix, kernels.segment_mean_grad(np.ascontiguousarray(g), offsets, n))
 
     return kernels.segment_mean(np.ascontiguousarray(x.values), offsets), bwd
 
@@ -528,6 +628,7 @@ def _op_typed_edge_message(inputs, kw):
     sums the buffer into the destinations, in ``order``. The backward pass
     mirrors it with one scatter-add into the sources.
     """
+    _require_arity("typed-edge-message", inputs, 2)
     a_types, h = inputs
     src = np.asarray(kw["src"], dtype=np.int64)
     dst = np.asarray(kw["dst"], dtype=np.int64)
@@ -548,12 +649,14 @@ def _op_typed_edge_message(inputs, kw):
         src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n
     ):
         raise IndexError("typed-edge-message: dangling edge index")
-    hv = h.values
+    ia, ih = _grad_id(a_types), _grad_id(h)
+    # the type matrices' gradient reads h, the states' gradient reads them
+    ka, kh = _kept(a_types, ih), _kept(h, ia)
     mats = a_types.values.reshape(num_types, w, w)
     src_by_type = src[order]
     dst_by_type = dst[order]
     spans = list(zip(bounds[:-1], bounds[1:]))
-    h_src = hv[src_by_type]
+    h_src = h.values[src_by_type]
     msgs = np.empty_like(h_src)
     for k, (lo, hi) in enumerate(spans):
         np.matmul(h_src[lo:hi], mats[k].T, out=msgs[lo:hi])
@@ -564,14 +667,20 @@ def _op_typed_edge_message(inputs, kw):
     def bwd(g, acc):
         # gathered again rather than kept, so the tape holds no (E x w) rows
         g_dst = np.ascontiguousarray(g)[dst_by_type]
-        h_src = hv[src_by_type]
-        grad_a = np.zeros_like(a_types.values)
-        back = np.empty_like(g_dst)
-        for k, (lo, hi) in enumerate(spans):
-            grad_a[k] = (g_dst[lo:hi].T @ h_src[lo:hi]).reshape(-1)
-            np.matmul(g_dst[lo:hi], mats[k], out=back[lo:hi])
-        acc(a_types, grad_a)
-        acc(h, kernels.scatter_add_into(np.zeros_like(hv), back, src_by_type))
+        if ia is not None:
+            h_src = kh.values[src_by_type]
+            grad_a = np.zeros((num_types, w * w), dtype=np.float64)
+            for k, (lo, hi) in enumerate(spans):
+                grad_a[k] = (g_dst[lo:hi].T @ h_src[lo:hi]).reshape(-1)
+            acc(ia, grad_a)
+        if ih is not None:
+            mats = ka.values.reshape(num_types, w, w)
+            back = np.empty_like(g_dst)
+            for k, (lo, hi) in enumerate(spans):
+                np.matmul(g_dst[lo:hi], mats[k], out=back[lo:hi])
+            acc(ih, kernels.scatter_add_into(
+                np.zeros((n, w), dtype=np.float64), back, src_by_type
+            ))
 
     return out, bwd
 
@@ -584,6 +693,7 @@ def _op_pnorm_diff(inputs, kw):
         raise ShapeError("p-norm-of-difference", a.shape, b.shape)
     if kw.get("p", 2) != 2:
         raise ValueError("p-norm-of-difference: only p=2 is supported")
+    ia, ib = _grad_id(a), _grad_id(b)
     diff = a.values - b.values
     norm = np.sqrt((diff * diff).sum(axis=-1))
 
@@ -592,24 +702,12 @@ def _op_pnorm_diff(inputs, kw):
         scale = np.asarray(g) / safe
         if diff.ndim == 2:
             scale = scale[:, None]
-        acc(a, scale * diff)
-        acc(b, -scale * diff)
+        if ia is not None:
+            acc(ia, scale * diff)
+        if ib is not None:
+            acc(ib, -scale * diff)
 
     return norm, bwd
-
-
-@_register("broadcast-add-bias")
-def _op_add_bias(inputs, kw):
-    _require_arity("broadcast-add-bias", inputs, 2)
-    x, bias = inputs
-    if x.values.ndim != 2 or bias.shape != (x.shape[1],):
-        raise ShapeError("broadcast-add-bias", x.shape, bias.shape)
-
-    def bwd(g, acc):
-        acc(x, g)
-        acc(bias, g.sum(axis=0))
-
-    return x.values + bias.values, bwd
 
 
 @_register("dropout")
@@ -619,9 +717,10 @@ def _op_dropout(inputs, kw):
     rate = float(kw.get("rate", 0.0))
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
+    ix = x.node_id
     if rate == 0.0:
         def bwd_id(g, acc):
-            acc(x, g)
+            acc(ix, g)
 
         return x.values.copy(), bwd_id
     rng = np.random.default_rng(int(kw["seed"]))
@@ -629,7 +728,7 @@ def _op_dropout(inputs, kw):
     scale = 1.0 / (1.0 - rate)
 
     def bwd(g, acc):
-        acc(x, g * keep * scale)
+        acc(ix, g * keep * scale)
 
     return x.values * keep * scale, bwd
 
@@ -640,11 +739,14 @@ def _op_squared_error(inputs, kw):
     pred, target = inputs
     if pred.shape != target.shape:
         raise ShapeError("squared-error", pred.shape, target.shape)
+    ip, it = _grad_id(pred), _grad_id(target)
     diff = pred.values - target.values
 
     def bwd(g, acc):
-        acc(pred, 2.0 * g * diff)
-        acc(target, -2.0 * g * diff)
+        if ip is not None:
+            acc(ip, 2.0 * g * diff)
+        if it is not None:
+            acc(it, -2.0 * g * diff)
 
     return np.asarray((diff * diff).sum()), bwd
 
@@ -655,13 +757,18 @@ def _op_bce_logit(inputs, kw):
     logit, target = inputs
     if logit.shape != target.shape:
         raise ShapeError("binary-cross-entropy-with-logit", logit.shape, target.shape)
+    il, it = _grad_id(logit), _grad_id(target)
     z, y = logit.values, target.values
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    sig = 1.0 / (1.0 + np.exp(-z))
+    # the logit's gradient reads sigmoid(z) - y, the target's reads z
+    err = 1.0 / (1.0 + np.exp(-z)) - y if il is not None else None
+    kz = z if it is not None else None
 
     def bwd(g, acc):
-        acc(logit, g * (sig - y))
-        acc(target, g * (-z))
+        if il is not None:
+            acc(il, g * err)
+        if it is not None:
+            acc(it, g * (-kz))
 
     return np.asarray(loss.sum()), bwd
 
@@ -673,6 +780,7 @@ def _op_ce_logits(inputs, kw):
     ids = np.asarray(kw["target_ids"], dtype=np.int64)
     if logits.values.ndim != 2 or ids.shape != (logits.shape[0],):
         raise ShapeError("cross-entropy-with-logits", logits.shape, ids.shape)
+    il = logits.node_id
     z = logits.values
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
@@ -684,7 +792,7 @@ def _op_ce_logits(inputs, kw):
     def bwd(g, acc):
         gz = probs.copy()
         gz[np.arange(len(ids)), ids] -= 1.0
-        acc(logits, np.asarray(g) * gz)
+        acc(il, np.asarray(g) * gz)
 
     return np.asarray(-picked.sum()), bwd
 
@@ -779,12 +887,13 @@ def check_op_gradient(kind, tensors, kwargs=None, h=1e-5, rng=None):
     return worst
 
 
-def _trial_inputs(kind, shape, rng):
+def _trial_inputs(kind, shape, rng, trial=0):
     """Random inputs/kwargs for one gradient-check trial of ``kind``.
 
     Kinked ops are sampled away from their kinks so central differences
     are valid: relu/max-type inputs keep |margin| >= 1e-3 and norm inputs
-    stay well separated.
+    stay well separated. Odd trials give ``matmul`` its bias and
+    ``layer-normalize`` its residual, so a sweep covers both arities.
     """
     def rand(s):
         return parameter(rng.normal(size=s))
@@ -800,7 +909,8 @@ def _trial_inputs(kind, shape, rng):
         return [a, b], {}
     if kind == "matmul":
         k = d + 1
-        return [rand((n, k)), rand((k, d))], {}
+        bias = [rand((d,))] if trial % 2 else []
+        return [rand((n, k)), rand((k, d))] + bias, {}
     if kind in ("concat-last-axis",):
         return [rand((n, d)), rand((n, d + 1))], {}
     if kind == "concat-rows":
@@ -819,7 +929,8 @@ def _trial_inputs(kind, shape, rng):
             "offsets": offsets, "num_heads": 2,
         }
     if kind == "layer-normalize":
-        return [rand((n, d)), rand((d,)), rand((d,))], {}
+        residual = [rand((n, d))] if trial % 2 else []
+        return [rand((n, d)), rand((d,)), rand((d,))] + residual, {}
     if kind in ("mean-over-rows", "sum-over-rows"):
         return [rand((n, d))], {}
     if kind == "gather-rows":
@@ -852,8 +963,6 @@ def _trial_inputs(kind, shape, rng):
             np.abs(b.values - a.values) + 0.2
         )
         return [a, b], {}
-    if kind == "broadcast-add-bias":
-        return [rand((n, d)), rand((d,))], {}
     if kind == "dropout":
         return [rand((n, d))], {"rate": 0.4, "seed": int(rng.integers(1 << 30))}
     if kind == "squared-error":
@@ -890,8 +999,8 @@ def check_gradients(kinds=None, trials=10, tolerance=1e-4, seed=1234,
                 (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
                 for _ in range(trials)
             ]
-        for shape in shapes:
-            tensors, kwargs = _trial_inputs(kind, shape, rng)
+        for trial, shape in enumerate(shapes):
+            tensors, kwargs = _trial_inputs(kind, shape, rng, trial)
             err = check_op_gradient(kind, tensors, kwargs, rng=rng)
             report.entries.append(
                 GradCheckEntry(kind, tuple(t.shape for t in tensors), err)

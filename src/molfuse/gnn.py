@@ -145,9 +145,7 @@ class Mpnn:
 
     def initial_states(self, tape, batch):
         x = constant(batch.node_features)
-        return tape.apply(
-            "broadcast-add-bias", tape.apply("matmul", x, self.w_in), self.b_in
-        )
+        return tape.apply("matmul", x, self.w_in, self.b_in)
 
     def _edge_mlp(self, tape, ef):
         if ef.shape[-1] != self.config.edge_feature_dim:
@@ -155,15 +153,8 @@ class Mpnn:
                 f"edge features of width {ef.shape[-1]}, expected "
                 f"{self.config.edge_feature_dim}"
             )
-        hidden = tape.apply(
-            "relu",
-            tape.apply(
-                "broadcast-add-bias", tape.apply("matmul", ef, self.we1), self.be1
-            ),
-        )
-        return tape.apply(
-            "broadcast-add-bias", tape.apply("matmul", hidden, self.we2), self.be2
-        )
+        hidden = tape.apply("relu", tape.apply("matmul", ef, self.we1, self.be1))
+        return tape.apply("matmul", hidden, self.we2, self.be2)
 
     def _message_operator(self, tape, batch):
         """message_fn(tape, states) with the edge network evaluated once
@@ -185,29 +176,12 @@ class Mpnn:
         if self.config.update_kind == "mlp":
             joint = tape.apply("concat-last-axis", states, messages)
             hidden = tape.apply(
-                "relu",
-                tape.apply(
-                    "broadcast-add-bias", tape.apply("matmul", joint, self.wu1),
-                    self.bu1,
-                ),
+                "relu", tape.apply("matmul", joint, self.wu1, self.bu1)
             )
-            return tape.apply(
-                "broadcast-add-bias", tape.apply("matmul", hidden, self.wu2),
-                self.bu2,
-            )
+            return tape.apply("matmul", hidden, self.wu2, self.bu2)
         joint = tape.apply("concat-last-axis", states, messages)
-        z = tape.apply(
-            "sigmoid",
-            tape.apply(
-                "broadcast-add-bias", tape.apply("matmul", joint, self.wz), self.bz
-            ),
-        )
-        r = tape.apply(
-            "sigmoid",
-            tape.apply(
-                "broadcast-add-bias", tape.apply("matmul", joint, self.wr), self.br
-            ),
-        )
+        z = tape.apply("sigmoid", tape.apply("matmul", joint, self.wz, self.bz))
+        r = tape.apply("sigmoid", tape.apply("matmul", joint, self.wr, self.br))
         gated = tape.apply("multiply", r, states)
         cand = tape.apply(
             "tanh",
@@ -225,10 +199,7 @@ class Mpnn:
     def _project(self, tape, states):
         if self.w_proj is None:
             return states
-        return tape.apply(
-            "broadcast-add-bias", tape.apply("matmul", states, self.w_proj),
-            self.b_proj,
-        )
+        return tape.apply("matmul", states, self.w_proj, self.b_proj)
 
     def run(self, tape, batch, steps=None, fuse_fn=None):
         """T message-passing steps; fuse_fn (if given) injects aligned
@@ -273,7 +244,7 @@ class GraphConv:
         return out
 
     def layer_forward(self, tape, states, batch, layer):
-        own = tape.apply("matmul", states, layer["w_self"])
+        own = tape.apply("matmul", states, layer["w_self"], layer["b"])
         if batch.edge_src.size:
             pulled = tape.apply("gather-rows", states, indices=batch.edge_src)
             summed = tape.apply(
@@ -281,7 +252,7 @@ class GraphConv:
                 indices=batch.edge_dst, num_rows=batch.num_nodes,
             )
             own = tape.apply("add", own, tape.apply("matmul", summed, layer["w_nbr"]))
-        return tape.apply("relu", tape.apply("broadcast-add-bias", own, layer["b"]))
+        return tape.apply("relu", own)
 
     def run(self, tape, batch, steps=None, fuse_fn=None):
         if fuse_fn is not None:

@@ -174,10 +174,7 @@ def fuse(tape, h1, h2, op, gate_params=None):
             raise ValueError("gate fusion requires gate parameters")
         w, b = gate_params
         joint = tape.apply("concat-last-axis", h1, h2)
-        g = tape.apply(
-            "sigmoid",
-            tape.apply("broadcast-add-bias", tape.apply("matmul", joint, w), b),
-        )
+        g = tape.apply("sigmoid", tape.apply("matmul", joint, w, b))
         keep = tape.apply("subtract", constant(1.0), g)
         return tape.apply(
             "add", tape.apply("multiply", g, h1), tape.apply("multiply", keep, h2)

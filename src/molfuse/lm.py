@@ -121,28 +121,16 @@ class SmilesEncoder:
                 "packed-attention", qkv, offsets=offsets,
                 num_heads=self.config.num_heads, collect=collect_attention,
             )
-            attn = tape.apply(
-                "broadcast-add-bias", tape.apply("matmul", ctx, layer["wo"]),
-                layer["bo"],
-            )
+            attn = tape.apply("matmul", ctx, layer["wo"], layer["bo"])
             x = tape.apply(
-                "layer-normalize", tape.apply("add", x, attn),
-                layer["ln1_g"], layer["ln1_b"],
+                "layer-normalize", attn, layer["ln1_g"], layer["ln1_b"], x
             )
             hidden = tape.apply(
-                "relu",
-                tape.apply(
-                    "broadcast-add-bias", tape.apply("matmul", x, layer["w1"]),
-                    layer["b1"],
-                ),
+                "relu", tape.apply("matmul", x, layer["w1"], layer["b1"])
             )
-            ffn = tape.apply(
-                "broadcast-add-bias", tape.apply("matmul", hidden, layer["w2"]),
-                layer["b2"],
-            )
+            ffn = tape.apply("matmul", hidden, layer["w2"], layer["b2"])
             x = tape.apply(
-                "layer-normalize", tape.apply("add", x, ffn),
-                layer["ln2_g"], layer["ln2_b"],
+                "layer-normalize", ffn, layer["ln2_g"], layer["ln2_b"], x
             )
         return x
 
@@ -186,13 +174,8 @@ class PredictionHead:
             raise ValueError(
                 f"prediction head expects width {self.in_width}, got {x.shape[-1]}"
             )
-        hidden = tape.apply(
-            "relu",
-            tape.apply("broadcast-add-bias", tape.apply("matmul", x, self.w1), self.b1),
-        )
-        return tape.apply(
-            "broadcast-add-bias", tape.apply("matmul", hidden, self.w2), self.b2
-        )
+        hidden = tape.apply("relu", tape.apply("matmul", x, self.w1, self.b1))
+        return tape.apply("matmul", hidden, self.w2, self.b2)
 
 
 class MlmHead:
@@ -241,9 +224,7 @@ def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate=0.15, seed=
     e_in = encoder.embed(tape, ids, packed.positions)
     e_out = encoder.encode(tape, e_in, packed.offsets)
     picked = tape.apply("gather-rows", e_out, indices=rows)
-    logits = tape.apply(
-        "broadcast-add-bias", tape.apply("matmul", picked, head.w), head.b
-    )
+    logits = tape.apply("matmul", picked, head.w, head.b)
     loss = tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
     grads = backward(loss, tape)
     full = {p.node_id: grads.get(p.node_id, np.zeros_like(p.values)) for p in params}

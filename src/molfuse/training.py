@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +30,8 @@ from .smiles import Vocabulary, parse, tokenize
 
 DEFAULT_LABEL_COLUMNS = {"regression": "log_solubility",
                          "binary-classification": "p_np"}
+# read by OpenBLAS (first) and OpenMP builds when they load
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -122,6 +125,8 @@ class SeedResult:
     counters: dict = field(default_factory=dict)
     failed: bool = False
     failure_reason: str = ""
+    peak_rss_mb: float = math.nan
+    blas_threads: int = 0
 
     def to_record(self):
         rec = {
@@ -136,7 +141,11 @@ class SeedResult:
             "counters": self.counters,
             "failed": self.failed,
             "failure_reason": self.failure_reason,
-            "timing": {"epoch_times": self.epoch_times},
+            "timing": {
+                "epoch_times": self.epoch_times,
+                "peak_rss_mb": self.peak_rss_mb,
+                "blas_threads": self.blas_threads,
+            },
         }
         return rec
 
@@ -270,6 +279,22 @@ def build_model(config, vocab_size, seed):
     )
 
 
+def blas_threads():
+    """BLAS threads this process was started with: OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS when set, else OpenBLAS's default of one per
+    usable core."""
+    for name in BLAS_THREAD_VARS:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return len(os.sched_getaffinity(0))
+
+
+def peak_rss_mb():
+    """Peak resident set size of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _full_gradients(params, grads):
     return {
         p.node_id: grads.get(p.node_id, np.zeros_like(p.values)) for p in params
@@ -281,11 +306,21 @@ def train_one(config, seed, out_dir=None, load_result=None):
 
     split -> (optional MLM stage) -> epoch loop with Adam -> early stop on
     the validation metric -> test metric from the best-validation
-    snapshot. A NaN loss aborts the run and is recorded as a failure.
+    snapshot. A non-finite loss, or a NaN or inf reaching any op (which
+    the tape reports with the op kind), aborts the run and is recorded as
+    a failure of this seed only.
     """
     kernels.warmup()
     task = TaskKind(config.task)
-    result = SeedResult(seed=seed)
+    result = SeedResult(seed=seed, blas_threads=blas_threads())
+
+    def failure(reason, epochs_run):
+        result.failed = True
+        result.failure_reason = reason
+        result.epochs_run = epochs_run
+        result.peak_rss_mb = peak_rss_mb()
+        return model, result
+
     data = load_result or load_csv(
         config.dataset, config.smiles_column, config.label_column, task
     )
@@ -311,11 +346,14 @@ def train_one(config, seed, out_dir=None, load_result=None):
 
     model = build_model(config, len(vocab), seed)
     if config.mlm_pretrain and model.encoder is not None:
-        losses, skipped = run_mlm_pretraining(
-            model.encoder, [m.tokens for m in train_mols],
-            epochs=config.mlm_epochs, batch_size=config.batch_size,
-            lr=config.lr, mask_rate=config.mlm_rate, seed=_mix(seed, 0xA11),
-        )
+        try:
+            losses, skipped = run_mlm_pretraining(
+                model.encoder, [m.tokens for m in train_mols],
+                epochs=config.mlm_epochs, batch_size=config.batch_size,
+                lr=config.lr, mask_rate=config.mlm_rate, seed=_mix(seed, 0xA11),
+            )
+        except FloatingPointError as exc:
+            return failure(f"non-finite value in MLM pretraining: {exc}", 0)
         result.counters["mlm_batches"] = len(losses)
         result.counters["mlm_skipped"] = skipped
 
@@ -326,21 +364,21 @@ def train_one(config, seed, out_dir=None, load_result=None):
     stale = 0
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
-        for b, batch in enumerate(
-            batch_iter(train_mols, config.batch_size, _mix(seed, epoch))
-        ):
-            tape = Tape()
-            loss, _, _ = model.forward_batch(
-                tape, batch, batch_seed=_mix(seed, epoch, b)
-            )
-            if not np.isfinite(loss.values):
-                result.failed = True
-                result.failure_reason = f"non-finite loss at epoch {epoch}"
-                result.epochs_run = epoch
-                return model, result
-            grads = backward(loss, tape)
-            adam_step(params, _full_gradients(params, grads), state)
-        val_metric = evaluate(model, valid_mols, task)
+        try:
+            for b, batch in enumerate(
+                batch_iter(train_mols, config.batch_size, _mix(seed, epoch))
+            ):
+                tape = Tape()
+                loss, _, _ = model.forward_batch(
+                    tape, batch, batch_seed=_mix(seed, epoch, b)
+                )
+                if not np.isfinite(loss.values):
+                    return failure(f"non-finite loss at epoch {epoch}", epoch)
+                grads = backward(loss, tape)
+                adam_step(params, _full_gradients(params, grads), state)
+            val_metric = evaluate(model, valid_mols, task)
+        except FloatingPointError as exc:
+            return failure(f"non-finite value at epoch {epoch}: {exc}", epoch)
         result.val_history.append(val_metric)
         result.epoch_times.append(time.perf_counter() - started)
         better = best_val is None or (
@@ -358,7 +396,12 @@ def train_one(config, seed, out_dir=None, load_result=None):
     result.epochs_run = len(result.val_history)
     result.best_val_metric = best_val if best_val is not None else math.nan
     model.load_state_dict(best_state)
-    result.test_metric = evaluate(model, test_mols, task)
+    try:
+        result.test_metric = evaluate(model, test_mols, task)
+    except FloatingPointError as exc:
+        return failure(
+            f"non-finite value in test evaluation: {exc}", result.epochs_run
+        )
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(
@@ -366,36 +409,62 @@ def train_one(config, seed, out_dir=None, load_result=None):
             {"seed": seed, **config.to_dict()},
             model.state_dict(),
         )
+    result.peak_rss_mb = peak_rss_mb()
     return model, result
 
 
-def _train_seed_entry(config_dict, seed, out_dir):
+def _train_seed_entry(config_dict, seed, out_dir, load_result):
     config = RunConfig.from_dict(config_dict)
-    _, result = train_one(config, seed, out_dir=out_dir)
+    _, result = train_one(config, seed, out_dir=out_dir, load_result=load_result)
     return result
+
+
+def _run_parallel(config, data, out_dir):
+    """Seeds on spawned worker processes, each given an equal share of the
+    usable cores as its BLAS thread budget (so workers x threads <= cores).
+
+    The budget goes into the environment the workers start with, before
+    they load numpy; the parent's environment is restored afterwards.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(config.workers, len(config.seeds))
+    threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            futures = [
+                pool.submit(_train_seed_entry, config.to_dict(), seed, out_dir, data)
+                for seed in config.seeds
+            ]
+            return [f.result() for f in futures]
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def run_seeds(config, out_dir=None):
     """Full protocol over config.seeds; aggregate is mean +/- sample std.
 
-    Seeds run on parallel workers when config.workers > 1; results are
-    ordered by the configured seed list either way.
+    The dataset is loaded once. Seeds run on parallel workers when
+    config.workers > 1; results are ordered by the configured seed list
+    either way.
     """
+    data = load_csv(
+        config.dataset, config.smiles_column, config.label_column,
+        TaskKind(config.task),
+    )
     if config.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_train_seed_entry, config.to_dict(), seed, out_dir)
-                for seed in config.seeds
-            ]
-            results = [f.result() for f in futures]
+        results = _run_parallel(config, data, out_dir)
     else:
         results = []
-        data = load_csv(
-            config.dataset, config.smiles_column, config.label_column,
-            TaskKind(config.task),
-        )
         for seed in config.seeds:
             _, result = train_one(config, seed, out_dir=out_dir, load_result=data)
             results.append(result)

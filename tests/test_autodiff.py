@@ -205,8 +205,7 @@ class TestBackwardExamples:
         def run():
             tape = Tape()
             h = tape.apply("tanh", tape.apply("matmul", x, w1))
-            out = tape.apply("broadcast-add-bias", tape.apply("matmul", h, w2), b)
-            out = tape.apply("sigmoid", out)
+            out = tape.apply("sigmoid", tape.apply("matmul", h, w2, b))
             return scalar(tape, out), tape
 
         loss, tape = run()
@@ -216,6 +215,122 @@ class TestBackwardExamples:
             ana = grads[t.node_id]
             denom = np.maximum(np.abs(ana), np.maximum(np.abs(num), 1e-3))
             assert (np.abs(ana - num) / denom).max() < 1e-4
+
+
+def projected_grads(build, leaves, seed=0):
+    """Output values and leaf gradients of sum(build(tape) * P), P fixed."""
+    tape = Tape()
+    out = build(tape)
+    projection = np.random.default_rng(seed).normal(size=out.shape)
+    loss = scalar(tape, tape.apply("multiply", out, constant(projection)))
+    grads = backward(loss, tape)
+    return out.values, [grads[t.node_id] for t in leaves]
+
+
+class TestLeanTape:
+    """backward consumes the tape; closures keep only what backward reads."""
+
+    def _mlp(self, rng):
+        x = constant(rng.normal(size=(5, 3)))
+        w1, b1 = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=4))
+        w2 = parameter(rng.normal(size=(4, 1)))
+        return x, [w1, b1, w2]
+
+    def test_relu_pre_activation_freed_when_forward_ends(self, rng):
+        import weakref
+
+        x, (w1, b1, w2) = self._mlp(rng)
+
+        def forward(tape):
+            pre = tape.apply("matmul", x, w1, b1)
+            ref = weakref.ref(pre.values)
+            hidden = tape.apply("relu", pre)
+            return scalar(tape, tape.apply("matmul", hidden, w2)), ref
+
+        tape = Tape()
+        loss, ref = forward(tape)
+        assert ref() is None
+        backward(loss, tape)
+        assert w1.grad is not None
+
+    def test_backward_consumes_tape_and_returns_leaves_only(self, rng):
+        x, params = self._mlp(rng)
+        w1, b1, w2 = params
+        tape = Tape()
+        pre = tape.apply("matmul", x, w1, b1)
+        hidden = tape.apply("relu", pre)
+        loss = scalar(tape, tape.apply("matmul", hidden, w2))
+        assert set(tape.watched) == {p.node_id for p in params}
+        grads = backward(loss, tape)
+        assert tape.records == []
+        assert set(grads) == {p.node_id for p in params}
+        assert all(p.grad is grads[p.node_id] for p in params)
+        assert pre.grad is None and hidden.grad is None and loss.grad is None
+        assert x.grad is None
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(loss, tape)
+
+    def test_constant_inputs_get_no_gradient_work(self):
+        # a closure calls acc only for inputs that require a gradient
+        seen = []
+        tape = Tape()
+        w = parameter(np.ones((2, 2)))
+        out = tape.apply("matmul", constant(np.ones((3, 2))), w)
+        _, backward_fn = tape.records[-1]
+        backward_fn(np.ones(out.shape), lambda nid, g: seen.append(nid))
+        assert seen == [w.node_id]
+
+    def test_matmul_bias_equals_unfused_sequence(self, rng):
+        a = parameter(rng.normal(size=(6, 4)))
+        b = parameter(rng.normal(size=(4, 3)))
+        bias = parameter(rng.normal(size=3))
+        out, (ga, gb, gbias) = projected_grads(
+            lambda t: t.apply("matmul", a, b, bias), [a, b, bias]
+        )
+        # unfused: the product, then the bias broadcast over the rows as a
+        # separate add whose bias gradient is the sum over rows
+        rows = parameter(np.broadcast_to(bias.values, (6, 3)).copy())
+        ref, (ra, rb, rrows) = projected_grads(
+            lambda t: t.apply("add", t.apply("matmul", a, b), rows), [a, b, rows]
+        )
+        assert np.array_equal(out, ref)
+        assert np.array_equal(ga, ra) and np.array_equal(gb, rb)
+        assert np.array_equal(gbias, rrows.sum(axis=0))
+
+    def test_layer_norm_residual_equals_unfused_sequence(self, rng):
+        x = parameter(rng.normal(size=(5, 4)))
+        res = parameter(rng.normal(size=(5, 4)))
+        gain = parameter(rng.normal(size=4))
+        bias = parameter(rng.normal(size=4))
+        leaves = [x, gain, bias, res]
+        out, fused = projected_grads(
+            lambda t: t.apply("layer-normalize", x, gain, bias, res), leaves
+        )
+        ref, unfused = projected_grads(
+            lambda t: t.apply(
+                "layer-normalize", t.apply("add", res, x), gain, bias
+            ),
+            leaves,
+        )
+        assert np.array_equal(out, ref)
+        for g, r in zip(fused, unfused):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("kind,arities", [
+        ("matmul", {2, 3}), ("layer-normalize", {3, 4}),
+    ])
+    def test_gradient_sweep_covers_both_arities(self, kind, arities):
+        report = check_gradients(kind, trials=4, tolerance=1e-4, seed=5)
+        assert {len(e.shapes) for e in report.entries} == arities
+        assert report.passed
+
+    @pytest.mark.parametrize("kind,shapes", [
+        ("matmul", [(2, 3), (3, 4), (3,)]),
+        ("layer-normalize", [(2, 3), (3,), (3,), (2, 4)]),
+    ])
+    def test_fused_input_shape_checked(self, kind, shapes):
+        with pytest.raises(ShapeError, match=kind):
+            Tape().apply(kind, *[constant(np.ones(s)) for s in shapes])
 
 
 class TestGradCheckOracle:

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from molfuse import training
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
 from molfuse.smiles import Vocabulary, parse
@@ -222,6 +224,47 @@ class TestRunSeeds:
         parallel = run_seeds(tiny_config(tiny_csv, seeds=(0, 7), max_epochs=2,
                                          workers=2))
         assert sequential.comparable_records() == parallel.comparable_records()
+
+    def test_workers_share_cores_and_parent_env_is_restored(
+        self, tiny_csv, monkeypatch
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        report = run_seeds(tiny_config(tiny_csv, seeds=(0, 7), max_epochs=1,
+                                       workers=2))
+        budget = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert [r.blas_threads for r in report.results] == [budget, budget]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+        assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_timing_records_peak_rss_and_threads(self, tiny_csv):
+        report = run_seeds(tiny_config(tiny_csv, max_epochs=1))
+        timing = report.results[0].to_record()["timing"]
+        assert timing["peak_rss_mb"] > 0
+        assert timing["blas_threads"] >= 1
+
+    def test_nan_in_one_seed_fails_that_seed_only(self, tiny_csv, monkeypatch):
+        # seed 0 runs first: a NaN written into the token embedding after
+        # its third Adam step reaches the embedding gather on the next step
+        real_step = training.adam_step
+        steps = []
+
+        def poisoned(params, grads, state):
+            out = real_step(params, grads, state)
+            steps.append(state.t)
+            if len(steps) == 3:
+                params[0].values[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(training, "adam_step", poisoned)
+        report = run_seeds(tiny_config(tiny_csv, seeds=(0, 1), max_epochs=2))
+        first, second = report.results
+        assert first.failed
+        assert first.failure_reason == (
+            "non-finite value at epoch 0: op 'gather-rows': NaN in input values"
+        )
+        assert not second.failed and math.isfinite(second.test_metric)
+        assert report.aggregate() == (second.test_metric, 0.0)
 
 
 class TestClassificationRun:
