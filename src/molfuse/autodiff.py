@@ -5,15 +5,15 @@ the record list once in reverse, consuming it, and accumulates gradients per
 node id.
 Tapes are rebuilt for every forward pass, so the seven model wirings in
 this package need no graph compiler. Everything is float64 and
-deterministic given identical input bits (dropout takes an explicit seed).
+deterministic given identical input bits.
 
 Op kinds
 --------
-add, subtract, multiply, matmul, concat-last-axis, concat-rows,
-elementwise-max, relu, sigmoid, tanh, packed-attention, layer-normalize,
-mean-over-rows, sum-over-rows, gather-rows, scatter-add-rows, segment-mean,
-typed-edge-message, p-norm-of-difference, dropout, squared-error,
-binary-cross-entropy-with-logit, cross-entropy-with-logits.
+add, subtract, multiply, matmul, concat-last-axis, elementwise-max, relu,
+sigmoid, tanh, packed-attention, layer-normalize, sum-over-rows,
+gather-rows, scatter-add-rows, segment-mean, typed-edge-message,
+p-norm-of-difference, squared-error, binary-cross-entropy-with-logit,
+cross-entropy-with-logits.
 
 ``matmul`` takes an optional third input, a bias row added to every output
 row; ``layer-normalize`` takes an optional fourth input, a residual added
@@ -336,27 +336,6 @@ def _op_concat_last(inputs, kw):
     return np.concatenate([a.values, b.values], axis=-1), bwd
 
 
-@_register("concat-rows")
-def _op_concat_rows(inputs, kw):
-    if not inputs:
-        raise ShapeError("concat-rows")
-    rows = [t.values if t.values.ndim == 2 else t.values[None, :] for t in inputs]
-    width = rows[0].shape[1]
-    if any(r.shape[1] != width for r in rows):
-        raise ShapeError("concat-rows", *[t.shape for t in inputs])
-    pieces = [(_grad_id(t), r.shape[0], t.values.ndim) for t, r in zip(inputs, rows)]
-
-    def bwd(g, acc):
-        lo = 0
-        for nid, n, ndim in pieces:
-            if nid is not None:
-                piece = g[lo:lo + n]
-                acc(nid, piece if ndim == 2 else piece[0])
-            lo += n
-
-    return np.concatenate(rows, axis=0), bwd
-
-
 @_register("elementwise-max")
 def _op_max(inputs, kw):
     _require_arity("elementwise-max", inputs, 2)
@@ -455,11 +434,14 @@ def _op_packed_attention(inputs, kw):
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         # (L, 3d) -> (3, heads, L, dk): q, k and v with the heads batched
         q, k, v = qkv.values[lo:hi].reshape(hi - lo, 3, heads, dk).transpose(1, 2, 0, 3)
-        z = (q @ k.transpose(0, 2, 1)) * scale
+        z = q @ k.transpose(0, 2, 1)
+        z *= scale
         z -= z.max(axis=-1, keepdims=True)
         probs = np.exp(z, out=z)
         probs /= probs.sum(axis=-1, keepdims=True)
-        out[lo:hi] = (probs @ v).transpose(1, 0, 2).reshape(hi - lo, d)
+        # the context goes straight into its (heads, L, dk) view of out
+        context = out[lo:hi].reshape(hi - lo, heads, dk).transpose(1, 0, 2)
+        np.matmul(probs, v, out=context)
         saved.append((q, k, v, probs))
         if kw.get("collect") is not None:
             kw["collect"].append(probs)
@@ -469,15 +451,19 @@ def _op_packed_attention(inputs, kw):
         for lo, hi, (q, k, v, probs) in zip(offsets[:-1], offsets[1:], saved):
             length = hi - lo
             gc = g[lo:hi].reshape(length, heads, dk).transpose(1, 0, 2)
-            gv = probs.transpose(0, 2, 1) @ gc
-            gp = gc @ v.transpose(0, 2, 1)
-            gz = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
-            gz *= scale
-            gq = gz @ k
-            gk = gz.transpose(0, 2, 1) @ q
-            grad[lo:hi] = np.stack([gq, gk, gv]).transpose(2, 0, 1, 3).reshape(
-                length, 3 * d
+            # (heads, L, dk) views of this sequence's [gq | gk | gv] columns
+            gq, gk, gv = grad[lo:hi].reshape(length, 3, heads, dk).transpose(
+                1, 2, 0, 3
             )
+            np.matmul(probs.transpose(0, 2, 1), gc, out=gv)
+            # gz = probs * (gp - sum(gp * probs)) * scale with gp = gc @ v^T,
+            # built in gp's buffer
+            gz = gc @ v.transpose(0, 2, 1)
+            gz -= (gz * probs).sum(axis=-1, keepdims=True)
+            gz *= probs
+            gz *= scale
+            np.matmul(gz, k, out=gq)
+            np.matmul(gz.transpose(0, 2, 1), q, out=gk)
         acc(iqkv, grad)
 
     return out, bwd
@@ -515,12 +501,20 @@ def _op_layer_norm(inputs, kw):
 
     def bwd(g, acc):
         if need_gx:
-            gx_hat = g * kgain.values
-            gvar = (gx_hat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-            gmu = (-gx_hat * inv).sum(axis=-1, keepdims=True) + gvar * (
+            # gx = gx_hat * inv + gvar * 2 centered / d + gmu / d, with
+            # gmu = sum(-gx_hat * inv) + gvar * (-2 mean(centered)); negating
+            # after the product and the sum rounds the same
+            gx = g * kgain.values
+            term = gx * centered
+            gvar = term.sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+            gx *= inv
+            gmu = -gx.sum(axis=-1, keepdims=True) + gvar * (
                 -2.0 * centered.mean(axis=-1, keepdims=True)
             )
-            gx = gx_hat * inv + gvar * 2.0 * centered / d + gmu / d
+            np.multiply(gvar * 2.0, centered, out=term)
+            term /= d
+            gx += term
+            gx += gmu / d
             if ix is not None:
                 acc(ix, gx)
             if ires is not None:
@@ -532,21 +526,6 @@ def _op_layer_norm(inputs, kw):
             acc(ibias, g.sum(axis=axes) if axes else g)
 
     return out, bwd
-
-
-@_register("mean-over-rows")
-def _op_mean_rows(inputs, kw):
-    _require_arity("mean-over-rows", inputs, 1)
-    x = inputs[0]
-    if x.values.ndim not in (1, 2) or x.shape[0] == 0:
-        raise ShapeError("mean-over-rows", x.shape)
-    ix, shape = x.node_id, x.shape
-    n = shape[0]
-
-    def bwd(g, acc):
-        acc(ix, np.broadcast_to(np.asarray(g) / n, shape).copy())
-
-    return x.values.mean(axis=0), bwd
 
 
 @_register("sum-over-rows")
@@ -708,29 +687,6 @@ def _op_pnorm_diff(inputs, kw):
             acc(ib, -scale * diff)
 
     return norm, bwd
-
-
-@_register("dropout")
-def _op_dropout(inputs, kw):
-    _require_arity("dropout", inputs, 1)
-    x = inputs[0]
-    rate = float(kw.get("rate", 0.0))
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout: rate {rate} outside [0, 1)")
-    ix = x.node_id
-    if rate == 0.0:
-        def bwd_id(g, acc):
-            acc(ix, g)
-
-        return x.values.copy(), bwd_id
-    rng = np.random.default_rng(int(kw["seed"]))
-    keep = rng.random(x.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-
-    def bwd(g, acc):
-        acc(ix, g * keep * scale)
-
-    return x.values * keep * scale, bwd
 
 
 @_register("squared-error")
@@ -913,8 +869,6 @@ def _trial_inputs(kind, shape, rng, trial=0):
         return [rand((n, k)), rand((k, d))] + bias, {}
     if kind in ("concat-last-axis",):
         return [rand((n, d)), rand((n, d + 1))], {}
-    if kind == "concat-rows":
-        return [rand((n, d)), rand((n + 1, d)), rand((d,))], {}
     if kind == "relu":
         x = rand(shape)
         x.values = np.sign(x.values) * (np.abs(x.values) + 1e-3)
@@ -931,7 +885,7 @@ def _trial_inputs(kind, shape, rng, trial=0):
     if kind == "layer-normalize":
         residual = [rand((n, d))] if trial % 2 else []
         return [rand((n, d)), rand((d,)), rand((d,))] + residual, {}
-    if kind in ("mean-over-rows", "sum-over-rows"):
+    if kind == "sum-over-rows":
         return [rand((n, d))], {}
     if kind == "gather-rows":
         idx = rng.integers(0, n, size=n + 2)
@@ -963,8 +917,6 @@ def _trial_inputs(kind, shape, rng, trial=0):
             np.abs(b.values - a.values) + 0.2
         )
         return [a, b], {}
-    if kind == "dropout":
-        return [rand((n, d))], {"rate": 0.4, "seed": int(rng.integers(1 << 30))}
     if kind == "squared-error":
         return [rand((n, d)), rand((n, d))], {}
     if kind == "binary-cross-entropy-with-logit":

@@ -360,9 +360,10 @@ def cmd_profile(args):
         config, strategies,
         measured_epochs=args.epochs, warmup_epochs=args.warmup,
     )
-    print(f"{'strategy':<16} {'median epoch s':>15}")
+    print(f"{'strategy':<16} {'median epoch s':>15}  minor faults per epoch")
     for strategy, entry in out["timings"].items():
-        print(f"{strategy:<16} {entry['median']:>15.3f}")
+        faults = " ".join(str(n) for n in entry["minor_faults"])
+        print(f"{strategy:<16} {entry['median']:>15.3f}  {faults}")
     for verdict in out["verdicts"]:
         status = "holds" if verdict["passed"] else "VIOLATED"
         print(

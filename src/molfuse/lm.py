@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, backward, parameter
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, complete_gradients
 from .smiles import Vocabulary, pack_batch
 
 
@@ -227,8 +227,7 @@ def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate=0.15, seed=
     logits = tape.apply("matmul", picked, head.w, head.b)
     loss = tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
     grads = backward(loss, tape)
-    full = {p.node_id: grads.get(p.node_id, np.zeros_like(p.values)) for p in params}
-    adam_step(params, full, state)
+    adam_step(params, complete_gradients(params, grads), state)
     return float(loss.values)
 
 

@@ -20,6 +20,16 @@ class AdamState:
         self.v = {p.node_id: np.zeros_like(p.values) for p in params}
 
 
+def complete_gradients(params, grads):
+    """``grads`` with an exactly-zero array for each parameter it lacks (one
+    that fed no recorded op); every present gradient is passed through."""
+    full = {}
+    for p in params:
+        g = grads.get(p.node_id)
+        full[p.node_id] = np.zeros_like(p.values) if g is None else g
+    return full
+
+
 def adam_step(params, grads, state):
     """One in-place Adam update; t increments exactly once per call.
 

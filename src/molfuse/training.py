@@ -1,5 +1,6 @@
 """Training loops, metrics, multi-seed aggregation, and timing profiles."""
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -25,13 +26,25 @@ from .data import (
 from .gnn import GnnConfig
 from .integration import ContrastConfig, EncodedMolecule, IntegratedModel
 from .lm import EncoderConfig, run_mlm_pretraining
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, complete_gradients
 from .smiles import Vocabulary, parse, tokenize
 
 DEFAULT_LABEL_COLUMNS = {"regression": "log_solubility",
                          "binary-classification": "p_np"}
 # read by OpenBLAS (first) and OpenMP builds when they load
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# glibc mallopt parameters and the values retain_heap sets. By default
+# glibc maps each buffer above its mmap threshold (128 KiB, raised as such
+# buffers are freed, to at most 32 MiB) on its own and unmaps it when
+# freed, and trims the heap top once it holds more free memory than the
+# trim threshold, so a training step that frees its tape during backward
+# hands the pages back and the next step faults them in again. A step's largest buffer is about 6 MB and a fusion batch's tape
+# about 47 MB: both fit under these thresholds and stay in the heap for
+# the next step. A larger array is still mapped and unmapped on its own.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_MMAP_THRESHOLD = 64 << 20
+HEAP_TRIM_THRESHOLD = 256 << 20
 
 
 @dataclass
@@ -127,6 +140,7 @@ class SeedResult:
     failure_reason: str = ""
     peak_rss_mb: float = math.nan
     blas_threads: int = 0
+    minor_faults: int = 0
 
     def to_record(self):
         rec = {
@@ -145,6 +159,7 @@ class SeedResult:
                 "epoch_times": self.epoch_times,
                 "peak_rss_mb": self.peak_rss_mb,
                 "blas_threads": self.blas_threads,
+                "minor_faults": self.minor_faults,
             },
         }
         return rec
@@ -295,10 +310,36 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _full_gradients(params, grads):
-    return {
-        p.node_id: grads.get(p.node_id, np.zeros_like(p.values)) for p in params
-    }
+def minor_faults():
+    """Minor page faults of this process so far: pages the kernel mapped
+    in on first touch, such as freshly allocated buffers."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+_heap_retained = False
+
+
+def retain_heap():
+    """Keep freed training buffers in this process's heap (glibc only).
+
+    Sets glibc's mmap and trim thresholds once per process (see
+    HEAP_MMAP_THRESHOLD); later calls do nothing. Returns whether both
+    settings are in force: False where libc has no ``mallopt`` or rejects
+    a value, and the allocator then keeps its defaults.
+    """
+    global _heap_retained
+    if not _heap_retained:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is None:
+            return False
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        # mallopt returns 1 on success and 0 on error
+        _heap_retained = (
+            mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD) == 1
+            and mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD) == 1
+        )
+    return _heap_retained
 
 
 def train_one(config, seed, out_dir=None, load_result=None):
@@ -311,15 +352,21 @@ def train_one(config, seed, out_dir=None, load_result=None):
     a failure of this seed only.
     """
     kernels.warmup()
+    retain_heap()
+    faults_before = minor_faults()
     task = TaskKind(config.task)
     result = SeedResult(seed=seed, blas_threads=blas_threads())
+
+    def finish():
+        result.peak_rss_mb = peak_rss_mb()
+        result.minor_faults = minor_faults() - faults_before
+        return model, result
 
     def failure(reason, epochs_run):
         result.failed = True
         result.failure_reason = reason
         result.epochs_run = epochs_run
-        result.peak_rss_mb = peak_rss_mb()
-        return model, result
+        return finish()
 
     data = load_result or load_csv(
         config.dataset, config.smiles_column, config.label_column, task
@@ -375,7 +422,7 @@ def train_one(config, seed, out_dir=None, load_result=None):
                 if not np.isfinite(loss.values):
                     return failure(f"non-finite loss at epoch {epoch}", epoch)
                 grads = backward(loss, tape)
-                adam_step(params, _full_gradients(params, grads), state)
+                adam_step(params, complete_gradients(params, grads), state)
             val_metric = evaluate(model, valid_mols, task)
         except FloatingPointError as exc:
             return failure(f"non-finite value at epoch {epoch}: {exc}", epoch)
@@ -409,8 +456,7 @@ def train_one(config, seed, out_dir=None, load_result=None):
             {"seed": seed, **config.to_dict()},
             model.state_dict(),
         )
-    result.peak_rss_mb = peak_rss_mb()
-    return model, result
+    return finish()
 
 
 def _train_seed_entry(config_dict, seed, out_dir, load_result):
@@ -483,11 +529,13 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
     Strategies advance one epoch at a time in rotation so slow machine
     drift hits them symmetrically, and the garbage collector pauses during
     measured epochs (tape churn otherwise triggers collector scans at
-    arbitrary points).
+    arbitrary points). Each strategy's entry also lists the minor page
+    faults of every measured epoch.
     """
     import gc
 
     kernels.warmup()
+    retain_heap()
     task = TaskKind(config.task)
     data = load_csv(config.dataset, config.smiles_column, config.label_column, task)
     train_recs, _, _ = split(data.records, SplitSpec(config.ratios, seed))
@@ -502,6 +550,7 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
         runners[strategy] = (model, params, AdamState(params, lr=config.lr))
 
     times = {strategy: [] for strategy in strategies}
+    faults = {strategy: [] for strategy in strategies}
     gc_was_enabled = gc.isenabled()
     try:
         for epoch in range(warmup_epochs + measured_epochs):
@@ -509,6 +558,7 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
                 model, params, state = runners[strategy]
                 gc.collect()
                 gc.disable()
+                faults_before = minor_faults()
                 started = time.perf_counter()
                 for b, batch in enumerate(
                     batch_iter(train_mols, config.batch_size, _mix(seed, epoch))
@@ -518,16 +568,19 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
                         tape, batch, batch_seed=_mix(seed, epoch, b)
                     )
                     grads = backward(loss, tape)
-                    adam_step(params, _full_gradients(params, grads), state)
+                    adam_step(params, complete_gradients(params, grads), state)
                 elapsed = time.perf_counter() - started
+                epoch_faults = minor_faults() - faults_before
                 gc.enable()
                 if epoch >= warmup_epochs:
                     times[strategy].append(elapsed)
+                    faults[strategy].append(epoch_faults)
     finally:
         if gc_was_enabled:
             gc.enable()
     timings = {
-        strategy: {"median": float(np.median(ts)), "epochs": ts}
+        strategy: {"median": float(np.median(ts)), "epochs": ts,
+                   "minor_faults": faults[strategy]}
         for strategy, ts in times.items()
     }
 

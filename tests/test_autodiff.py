@@ -333,6 +333,99 @@ class TestLeanTape:
             Tape().apply(kind, *[constant(np.ones(s)) for s in shapes])
 
 
+def reference_attention(qkv, offsets, heads, g):
+    """Packed attention's output and qkv gradient by the formulas it used
+    before its buffers were written in place."""
+    rows, d = qkv.shape[0], qkv.shape[1] // 3
+    dk = d // heads
+    scale = 1.0 / np.sqrt(dk)
+    out = np.empty((rows, d))
+    grad = np.empty((rows, 3 * d))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        length = hi - lo
+        q, k, v = qkv[lo:hi].reshape(length, 3, heads, dk).transpose(1, 2, 0, 3)
+        z = (q @ k.transpose(0, 2, 1)) * scale
+        z -= z.max(axis=-1, keepdims=True)
+        probs = np.exp(z, out=z)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out[lo:hi] = (probs @ v).transpose(1, 0, 2).reshape(length, d)
+        gc = g[lo:hi].reshape(length, heads, dk).transpose(1, 0, 2)
+        gv = probs.transpose(0, 2, 1) @ gc
+        gp = gc @ v.transpose(0, 2, 1)
+        gz = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+        gz *= scale
+        gq = gz @ k
+        gk = gz.transpose(0, 2, 1) @ q
+        grad[lo:hi] = np.stack([gq, gk, gv]).transpose(2, 0, 1, 3).reshape(
+            length, 3 * d
+        )
+    return out, grad
+
+
+def reference_layer_norm(x, gain, bias, g, residual=None, eps=1e-5):
+    """Layer norm's output and (x, gain, bias) gradients by the formulas it
+    used before its backward reused its buffers."""
+    d = x.shape[-1]
+    total = x if residual is None else x + residual
+    centered = total - total.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = centered * inv * gain + bias
+    gx_hat = g * gain
+    gvar = (gx_hat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+    gmu = (-gx_hat * inv).sum(axis=-1, keepdims=True) + gvar * (
+        -2.0 * centered.mean(axis=-1, keepdims=True)
+    )
+    gx = gx_hat * inv + gvar * 2.0 * centered / d + gmu / d
+    return out, gx, (g * (centered * inv)).sum(axis=0), g.sum(axis=0)
+
+
+class TestInPlaceGradients:
+    """Attention and layer norm write their buffers in place, bitwise equal
+    to the reference formulas."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_packed_attention_equals_reference(self, heads, rng):
+        lengths = rng.permutation(np.arange(1, 91))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        # head width 6, so the 1 / sqrt(6) scale rounds
+        qkv = parameter(rng.normal(size=(int(offsets[-1]), 3 * 6 * heads)))
+        out, (grad,) = projected_grads(
+            lambda t: t.apply(
+                "packed-attention", qkv, offsets=offsets, num_heads=heads
+            ),
+            [qkv],
+        )
+        projection = np.random.default_rng(0).normal(size=out.shape)
+        ref_out, ref_grad = reference_attention(
+            qkv.values, offsets, heads, projection
+        )
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("with_residual", [False, True])
+    def test_layer_norm_equals_reference(self, with_residual, rng):
+        x = parameter(rng.normal(size=(37, 24)))
+        gain = parameter(rng.normal(size=24))
+        bias = parameter(rng.normal(size=24))
+        leaves = [x, gain, bias]
+        if with_residual:
+            leaves.append(parameter(rng.normal(size=(37, 24))))
+        out, grads = projected_grads(
+            lambda t: t.apply("layer-normalize", *leaves), leaves
+        )
+        projection = np.random.default_rng(0).normal(size=out.shape)
+        ref_out, *ref_grads = reference_layer_norm(
+            x.values, gain.values, bias.values, projection,
+            leaves[3].values if with_residual else None,
+        )
+        if with_residual:
+            ref_grads.append(ref_grads[0])  # the residual's gradient is x's
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+
 class TestGradCheckOracle:
     """Central-difference sweep: h = 1e-5, relative error < 1e-4."""
 
@@ -402,14 +495,6 @@ class TestDeterminism:
             h = tape.apply("tanh", tape.apply("matmul", x, w))
             outs.append(h.values.copy())
         assert np.array_equal(outs[0], outs[1])
-
-    def test_dropout_seeded(self):
-        x = constant(np.ones((8, 8)))
-        a = Tape().apply("dropout", x, rate=0.5, seed=11).values
-        b = Tape().apply("dropout", x, rate=0.5, seed=11).values
-        c = Tape().apply("dropout", x, rate=0.5, seed=12).values
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
     def test_grad_disabled_tape_records_nothing(self):
         tape = Tape(grad_enabled=False)

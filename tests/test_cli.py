@@ -180,3 +180,4 @@ class TestProfileCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "lm-baseline" in out and "mpnn-baseline" in out
+        assert "minor faults per epoch" in out

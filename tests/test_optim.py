@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from molfuse.autodiff import parameter
-from molfuse.optim import AdamState, GradientMissing, adam_step
+from molfuse.optim import AdamState, GradientMissing, adam_step, complete_gradients
 
 
 def test_first_step_closed_form():
@@ -31,6 +31,23 @@ def test_constant_gradient_monotone_decrease():
         seen.append(w.values.copy())
     assert seen[0] > seen[1] > seen[2]
     assert state.t == 2
+
+
+def test_complete_gradients_allocates_only_missing_entries(monkeypatch):
+    used, unused = parameter(np.ones((2, 3))), parameter(np.ones(4))
+    present = np.full((2, 3), 0.5)
+    allocated = []
+    zeros_like = np.zeros_like
+
+    def counted(values):
+        allocated.append(values.shape)
+        return zeros_like(values)
+
+    monkeypatch.setattr(np, "zeros_like", counted)
+    full = complete_gradients([used, unused], {used.node_id: present})
+    assert full[used.node_id] is present
+    np.testing.assert_array_equal(full[unused.node_id], np.zeros(4))
+    assert allocated == [(4,)]
 
 
 def test_missing_gradient_names_parameter():

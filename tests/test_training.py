@@ -1,6 +1,11 @@
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +26,9 @@ from molfuse.training import (
     run_seeds,
     train_one,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +245,15 @@ class TestRunSeeds:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
         assert "OMP_NUM_THREADS" not in os.environ
 
-    def test_timing_records_peak_rss_and_threads(self, tiny_csv):
+    def test_timing_records_peak_rss_and_threads(self, tiny_csv, monkeypatch):
+        # the seed's minor faults are the counter's rise over train_one
+        readings = iter([1000, 1234])
+        monkeypatch.setattr(training, "minor_faults", lambda: next(readings))
         report = run_seeds(tiny_config(tiny_csv, max_epochs=1))
         timing = report.results[0].to_record()["timing"]
         assert timing["peak_rss_mb"] > 0
         assert timing["blas_threads"] >= 1
+        assert timing["minor_faults"] == 234
 
     def test_nan_in_one_seed_fails_that_seed_only(self, tiny_csv, monkeypatch):
         # seed 0 runs first: a NaN written into the token embedding after
@@ -267,6 +279,94 @@ class TestRunSeeds:
         assert report.aggregate() == (second.test_metric, 0.0)
 
 
+# Ten training steps of a small mpnn-baseline model on one fixed batch of
+# 32 bbbp-like molecules, after retain_heap; prints each step's minor page
+# faults (forward, backward and Adam update). The collector is paused, as
+# profile_strategies pauses it, so that its passes do not move the heap's
+# high-water mark at an arbitrary step.
+STEP_FAULTS_PROBE = """
+import gc, os, resource, tempfile
+from molfuse import training
+from molfuse.autodiff import Tape, backward
+from molfuse.data import TaskKind, load_csv
+from molfuse.optim import AdamState, adam_step, complete_gradients
+from molfuse.smiles import Vocabulary
+from molfuse.synthdata import write_dataset
+
+training.retain_heap()
+path = os.path.join(tempfile.mkdtemp(), "graphs.csv")
+write_dataset(path, "bbbp", 32, seed=5)
+config = training.RunConfig(
+    strategy="mpnn-baseline", dataset=path, task="binary-classification"
+)
+records = load_csv(path, "smiles", "p_np", TaskKind(config.task)).records
+vocab = Vocabulary.build(r.smiles for r in records)
+batch, _, _ = training.prepare_molecules(records, vocab, config.max_len)
+model = training.build_model(config, len(vocab), seed=0)
+params = model.parameters()
+state = AdamState(params)
+steps = []
+gc.disable()
+for step in range(10):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tape = Tape()
+    loss, _, _ = model.forward_batch(tape, batch, batch_seed=step)
+    adam_step(params, complete_gradients(params, backward(loss, tape)), state)
+    steps.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(" ".join(map(str, steps)))
+"""
+
+
+class TestHeapRetention:
+    def _fake_libc(self, monkeypatch, result=1, has_mallopt=True):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        libc = SimpleNamespace(**({"mallopt": mallopt} if has_mallopt else {}))
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(training, "_heap_retained", False)
+        return calls
+
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        calls = self._fake_libc(monkeypatch)
+        assert training.retain_heap() is True
+        assert training.retain_heap() is True
+        assert calls == [
+            (training.M_MMAP_THRESHOLD, training.HEAP_MMAP_THRESHOLD),
+            (training.M_TRIM_THRESHOLD, training.HEAP_TRIM_THRESHOLD),
+        ]
+
+    def test_rejected_setting_is_reported(self, monkeypatch):
+        calls = self._fake_libc(monkeypatch, result=0)
+        assert training.retain_heap() is False
+        assert calls == [
+            (training.M_MMAP_THRESHOLD, training.HEAP_MMAP_THRESHOLD)
+        ]
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        self._fake_libc(monkeypatch, has_mallopt=False)
+        assert training.retain_heap() is False
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's"
+    )
+    def test_steady_training_steps_do_not_fault(self, tmp_path):
+        # a fresh interpreter, so no earlier test has set the allocator
+        out = subprocess.run(
+            [sys.executable, "-c", STEP_FAULTS_PROBE],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert out.returncode == 0, out.stderr
+        faults = [int(n) for n in out.stdout.split()]
+        assert len(faults) == 10
+        # the first two steps bring the heap to its high-water mark
+        assert max(faults[2:]) < 50, faults
+
+
 class TestClassificationRun:
     def test_beats_majority_on_tiny(self, tiny_cls_csv):
         cfg = tiny_config(
@@ -289,6 +389,8 @@ class TestProfile:
         for entry in out["timings"].values():
             assert entry["median"] > 0
             assert len(entry["epochs"]) == 2
+            assert len(entry["minor_faults"]) == 2
+            assert all(n >= 0 for n in entry["minor_faults"])
         assert out["verdicts"][0]["check"] == "graph-contrast <= node-contrast"
 
     def test_attention_scaling_quadratic(self):
