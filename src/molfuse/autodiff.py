@@ -25,6 +25,7 @@ broadcast it; all other shape combinations must match exactly.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,7 @@ class Tensor:
 
     ``values`` is a float64 ndarray (row-major), ``grad`` stays None until
     :func:`backward` fills it, and ``node_id`` is unique per tensor.
-    ``checked`` caches the NaN validation so each buffer is scanned once;
+    ``checked`` caches the finiteness check so each buffer is scanned once;
     code that mutates ``values`` in place (the optimizer) resets it.
     """
 
@@ -108,13 +109,13 @@ class Tape:
         for t in inputs:
             if t.checked:
                 continue
-            # cheap fail-fast NaN test: a sum is NaN iff it saw a NaN
-            # (or an inf/-inf mix, which deserves rejection just as much)
-            s = t.values.sum()
-            if s != s:
+            # cheap fail-fast test: the sum of finite values is finite
+            # unless it overflows, so only a non-finite sum needs a scan
+            if not math.isfinite(t.values.sum()):
                 if np.isnan(t.values).any():
                     raise FloatingPointError(f"op '{kind}': NaN in input values")
-                raise FloatingPointError(f"op '{kind}': non-finite input values")
+                if not np.isfinite(t.values).all():
+                    raise FloatingPointError(f"op '{kind}': non-finite input values")
             t.checked = True
         out_values, backward_fn = op(inputs, kwargs)
         track = self.grad_enabled and any(t.requires_grad for t in inputs)
@@ -588,10 +589,10 @@ def _op_segment_mean(inputs, kw):
         raise ShapeError("segment-mean", x.shape, offsets.shape)
     if (np.diff(offsets) <= 0).any():
         raise ValueError("segment-mean: empty or non-increasing segment")
-    ix, n = x.node_id, x.shape[0]
+    ix = x.node_id
 
     def bwd(g, acc):
-        acc(ix, kernels.segment_mean_grad(np.ascontiguousarray(g), offsets, n))
+        acc(ix, kernels.segment_mean_grad(np.ascontiguousarray(g), offsets))
 
     return kernels.segment_mean(np.ascontiguousarray(x.values), offsets), bwd
 

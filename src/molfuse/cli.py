@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .autodiff import Tape, backward, check_gradients, fd_gradients
-from .data import parse_ratio_string
+from .data import TaskKind, parse_ratio_string
 from .gnn import GnnConfig
 from .integration import STRATEGIES, EncodedMolecule, IntegratedModel
 from .lm import EncoderConfig
@@ -262,7 +262,7 @@ def cmd_ablate(args):
             "aggregate": report.formatted_aggregate(),
             "seeds": [r.to_record() for r in report.results],
         })
-    metric = "mae" if config.task == "regression" else "accuracy"
+    metric = TaskKind(config.task).metric_name
     width = max(len(label) for label, _ in rows)
     lines = [
         f"ablation: {args.kind}   strategy: {config.strategy}   "

@@ -108,12 +108,6 @@ class LoadResult:
     quarantined: list = field(default_factory=list)
     warnings: int = 0
 
-    def quarantine_report(self):
-        lines = [
-            f"row {q.row_index}\t{q.smiles}\t{q.reason}" for q in self.quarantined
-        ]
-        return "\n".join(lines)
-
 
 def load_csv(path, smiles_column, label_column, task):
     """Read records in file order; bad rows land in the quarantine list.

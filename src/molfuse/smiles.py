@@ -78,11 +78,9 @@ class MolecularGraph:
 @dataclass
 class TokenSequence:
     token_ids: list
-    mask: list
     atom_token_positions: list
     raw_tokens: list
     unknown_tokens: int = 0
-    unknown_atom_tokens: int = 0
 
     def __len__(self):
         return len(self.token_ids)
@@ -234,33 +232,27 @@ def tokenize(smiles, vocab):
     """TokenSequence with CLS prepended and atom positions collected.
 
     Tokens absent from the vocabulary map to the unknown id; atom tokens
-    keep their position in the alignment either way (counted separately
-    so vocabulary drift is visible).
+    keep their position in the alignment either way.
     """
     raw = tokenize_raw(smiles)
     token_ids = [Vocabulary.CLS]
     raw_tokens = ["<cls>"]
     positions = []
     unk = 0
-    unk_atoms = 0
     for tok, is_atom in raw:
         pos = len(token_ids)
         tid = vocab.id_of(tok)
         if tid == Vocabulary.UNK:
             unk += 1
-            if is_atom:
-                unk_atoms += 1
         token_ids.append(tid)
         raw_tokens.append(tok)
         if is_atom:
             positions.append(pos)
     return TokenSequence(
         token_ids=token_ids,
-        mask=[True] * len(token_ids),
         atom_token_positions=positions,
         raw_tokens=raw_tokens,
         unknown_tokens=unk,
-        unknown_atom_tokens=unk_atoms,
     )
 
 

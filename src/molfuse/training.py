@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .autodiff import Tape, backward, constant
 from .checkpoint import save_checkpoint
 from .data import (
@@ -190,7 +189,7 @@ class RunReport:
         return f"{mean:.4f} ± {std:.4f}"
 
     def text_table(self):
-        metric = "mae" if self.config.get("task") == "regression" else "accuracy"
+        metric = TaskKind(self.config["task"]).metric_name
         lines = [
             f"strategy: {self.config.get('strategy')}   "
             f"dataset: {self.config.get('dataset')}   metric: {metric}",
@@ -351,7 +350,6 @@ def train_one(config, seed, out_dir=None, load_result=None):
     the tape reports with the op kind), aborts the run and is recorded as
     a failure of this seed only.
     """
-    kernels.warmup()
     retain_heap()
     faults_before = minor_faults()
     task = TaskKind(config.task)
@@ -534,7 +532,6 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
     """
     import gc
 
-    kernels.warmup()
     retain_heap()
     task = TaskKind(config.task)
     data = load_csv(config.dataset, config.smiles_column, config.label_column, task)

@@ -267,7 +267,7 @@ def test_c5_structural_invariances():
 
     def sequence(ids):
         return TokenSequence(
-            token_ids=ids, mask=[True] * len(ids),
+            token_ids=ids,
             atom_token_positions=list(range(1, len(ids))), raw_tokens=[],
         )
 

@@ -116,6 +116,19 @@ class TestErrors:
         with pytest.raises(FloatingPointError):
             tape.apply("relu", constant([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_lone_inf_rejected_with_op_kind(self, bad):
+        with pytest.raises(FloatingPointError,
+                           match="op 'relu': non-finite input values"):
+            Tape().apply("relu", constant([bad, 1.0]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        x = constant([1e308, 1e308])
+        out = Tape().apply("relu", x)
+        assert x.checked
+        np.testing.assert_array_equal(out.values, [1e308, 1e308])
+
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         w = parameter([1.0, 2.0])

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,12 +30,25 @@ TINY_FLAGS = [
     "--max-epochs", "2", "--patience", "3",
 ]
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 class TestParseCommand:
     def test_phenol_counts(self, capsys):
         assert main(["parse", "C1=CC=C(C=C1)O"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "7 atoms" in out and "7 bonds" in out and "14 tokens" in out
+
+    def test_runs_from_a_source_checkout(self, tmp_path):
+        """``PYTHONPATH=src python -m molfuse.cli`` works without an install;
+        the cwd lies outside the tree, so only PYTHONPATH can find molfuse."""
+        out = subprocess.run(
+            [sys.executable, "-m", "molfuse.cli", "parse", "C1CC1"],
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert out.returncode == EXIT_OK, out.stderr
+        assert out.stdout == "C1CC1\t3 atoms\t3 bonds\t5 tokens\n"
 
     def test_unclosed_ring_exit_2(self, capsys):
         assert main(["parse", "C1CC"]) == EXIT_DATA

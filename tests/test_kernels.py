@@ -1,61 +1,11 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from molfuse import kernels
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 
-
-def run_numpy_fallback(code, cwd):
-    """Run ``code`` in a fresh interpreter with MOLFUSE_NO_NUMBA=1 and
-    molfuse importable only through PYTHONPATH; return its stripped stdout.
-
-    ``cwd`` should lie outside the source tree, so that a cwd-relative
-    import cannot hide a wrong PYTHONPATH.
-    """
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"MOLFUSE_NO_NUMBA": "1", "PATH": "/usr/bin:/bin",
-             "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, cwd=cwd,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-class TestNumpyNumbaAgreement:
-    def test_scatter_add_rows(self, rng):
-        for _ in range(5):
-            k, d, n = rng.integers(1, 40), rng.integers(1, 9), rng.integers(2, 10)
-            vals = rng.normal(size=(k, d))
-            idx = rng.integers(0, n, size=k)
-            a = kernels.scatter_add_rows_np(vals, idx, int(n))
-            b = kernels.scatter_add_rows(vals, idx, int(n))
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_scatter_add_into(self, rng):
-        out_a = rng.normal(size=(5, 3))
-        out_b = out_a.copy()
-        vals = rng.normal(size=(9, 3))
-        idx = rng.integers(0, 5, size=9)
-        kernels.scatter_add_into_np(out_a, vals, idx)
-        kernels.scatter_add_into(out_b, vals, idx)
-        np.testing.assert_allclose(out_a, out_b, atol=1e-12)
-
-    def test_segment_mean_and_grad(self, rng):
-        vals = rng.normal(size=(10, 4))
-        offsets = np.array([0, 3, 4, 10])
-        a = kernels.segment_mean_np(vals, offsets)
-        b = kernels.segment_mean(vals, offsets)
-        np.testing.assert_allclose(a, b, atol=1e-14)
-        g = rng.normal(size=(3, 4))
-        ga = kernels.segment_mean_grad_np(g, offsets, 10)
-        gb = kernels.segment_mean_grad(g, offsets, 10)
-        np.testing.assert_allclose(ga, gb, atol=1e-14)
+def bits(a):
+    return a.view(np.int64)
 
 
 def per_row_scatter(out, values, indices):
@@ -80,28 +30,22 @@ def scatter_cases(rng):
 class TestNumpyScatters:
     """The flat-index numpy scatters add in the per-row loop's order."""
 
-    @pytest.mark.parametrize("fn", [kernels.scatter_add_rows_np,
-                                    kernels.scatter_add_rows])
-    def test_scatter_add_rows_bitwise_per_row_loop(self, fn, rng):
+    def test_scatter_add_rows_bitwise_per_row_loop(self, rng):
         for values, idx, n in scatter_cases(rng):
             ref = per_row_scatter(np.zeros((n, values.shape[1])), values, idx)
-            np.testing.assert_array_equal(fn(values, idx, n), ref)
+            np.testing.assert_array_equal(kernels.scatter_add_rows(values, idx, n), ref)
 
-    @pytest.mark.parametrize("fn", [kernels.scatter_add_into_np,
-                                    kernels.scatter_add_into])
-    def test_scatter_add_into_bitwise_per_row_loop(self, fn, rng):
+    def test_scatter_add_into_bitwise_per_row_loop(self, rng):
         for values, idx, n in scatter_cases(rng):
             start = rng.normal(size=(n, values.shape[1]))
             out = start.copy()
-            assert fn(out, values, idx) is out
+            assert kernels.scatter_add_into(out, values, idx) is out
             np.testing.assert_array_equal(
                 out, per_row_scatter(start.copy(), values, idx)
             )
 
-    @pytest.mark.parametrize("fn", [kernels.scatter_add_into_np,
-                                    kernels.scatter_add_into])
     @pytest.mark.parametrize("layout", ["column_slice", "strided", "transposed"])
-    def test_non_contiguous_out_is_never_left_unchanged(self, fn, layout, rng):
+    def test_non_contiguous_out_is_never_left_unchanged(self, layout, rng):
         base = rng.normal(size=(4, 6))
         out = {"column_slice": base[:, :3], "strided": base[:, ::2],
                "transposed": base[:3].T}[layout]
@@ -109,19 +53,100 @@ class TestNumpyScatters:
         idx = np.array([0, 3, 3, 1, 0])
         expected = per_row_scatter(out.copy(), values, idx)
         try:
-            fn(out, values, idx)
+            kernels.scatter_add_into(out, values, idx)
         except ValueError:
             return
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("layout", ["column_slice", "strided", "transposed"])
+    def test_non_contiguous_out_raises_before_writing(self, layout, rng):
+        base = rng.normal(size=(4, 6))
+        before = base.copy()
+        out = {"column_slice": base[:, :3], "strided": base[:, ::2],
+               "transposed": base[:3].T}[layout]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.scatter_add_into(out, rng.normal(size=(5, 3)),
+                                     np.array([0, 3, 3, 1, 0]))
+        np.testing.assert_array_equal(bits(base), bits(before))
+
+    @pytest.mark.parametrize("as_indices", [
+        list, lambda i: np.asarray(i, dtype=np.int32),
+        lambda i: np.asarray(i, dtype=np.uint16),
+    ], ids=["list", "int32", "uint16"])
+    def test_index_types_give_the_int64_sums(self, as_indices, rng):
+        values = rng.normal(size=(30, 5))
+        idx = rng.integers(0, 7, size=30)
+        ref = kernels.scatter_add_rows(values, idx.astype(np.int64), 7)
+        np.testing.assert_array_equal(
+            bits(kernels.scatter_add_rows(values, as_indices(idx.tolist()), 7)),
+            bits(ref))
+
+
+def per_segment_mean(values, offsets):
+    """Reference: each segment's mean, one segment at a time."""
+    out = np.empty((len(offsets) - 1, values.shape[1]))
+    for g in range(len(offsets) - 1):
+        out[g] = values[offsets[g]:offsets[g + 1]].mean(axis=0)
+    return out
+
+
+def per_segment_mean_grad(grad_out, offsets):
+    """Reference: each segment's rows get its gradient over its length."""
+    gx = np.empty((offsets[-1], grad_out.shape[1]))
+    for g in range(len(offsets) - 1):
+        lo, hi = offsets[g], offsets[g + 1]
+        gx[lo:hi] = grad_out[g] / (hi - lo)
+    return gx
+
+
+def random_offsets(rng):
+    """Offsets of 1-12 segments of 1-6 rows each; a third are one row long."""
+    lengths = rng.integers(1, 7, size=rng.integers(1, 13))
+    lengths[rng.random(lengths.size) < 1 / 3] = 1
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+
+
+class TestSegmentKernels:
+    """The segment kernels equal per-segment loops bit for bit."""
+
+    def test_segment_mean_bitwise_per_segment_loop(self, rng):
+        for _ in range(100):
+            offsets = random_offsets(rng)
+            values = rng.normal(size=(offsets[-1], rng.integers(1, 9)))
+            np.testing.assert_array_equal(
+                bits(kernels.segment_mean(values, offsets)),
+                bits(per_segment_mean(values, offsets)))
+
+    def test_segment_mean_grad_bitwise_per_segment_loop(self, rng):
+        for _ in range(100):
+            offsets = random_offsets(rng)
+            grad_out = rng.normal(size=(len(offsets) - 1, rng.integers(1, 9)))
+            np.testing.assert_array_equal(
+                bits(kernels.segment_mean_grad(grad_out, offsets)),
+                bits(per_segment_mean_grad(grad_out, offsets)))
+
+    def test_segment_mean_grad_is_adjoint_of_segment_mean(self, rng):
+        # <segment_mean(x), g> == <x, segment_mean_grad(g)>
+        for _ in range(50):
+            offsets = random_offsets(rng)
+            d = rng.integers(1, 9)
+            x = rng.normal(size=(offsets[-1], d))
+            g = rng.normal(size=(len(offsets) - 1, d))
+            np.testing.assert_allclose(
+                np.sum(kernels.segment_mean(x, offsets) * g),
+                np.sum(x * kernels.segment_mean_grad(g, offsets)),
+                rtol=1e-12, atol=1e-12)
+
 
 def test_traced_kernel_names_stay():
     """The benchmark's environment fingerprint reads ``USE_NUMBA`` and its
-    tracer wraps these four names on the module, so they must stay."""
-    assert isinstance(kernels.USE_NUMBA, bool)
-    for name in ("scatter_add_rows", "scatter_add_into", "segment_mean",
-                 "segment_mean_grad"):
-        assert callable(vars(kernels)[name]), name
+    tracer wraps these four names on the module, so they must stay, and
+    they are the module's whole public interface."""
+    assert kernels.USE_NUMBA is False
+    public = {name for name, value in vars(kernels).items()
+              if callable(value) and not name.startswith("_")}
+    assert public == {"scatter_add_rows", "scatter_add_into", "segment_mean",
+                      "segment_mean_grad"}
 
 
 def test_message_pass_calls_kernels_through_the_module(monkeypatch):
@@ -149,45 +174,3 @@ def test_message_pass_calls_kernels_through_the_module(monkeypatch):
     out = tape.apply("segment-mean", h, offsets=batch.offsets)
     backward(tape.apply("sum-over-rows", tape.apply("sum-over-rows", out)), tape)
     assert len(calls) == 2 * steps
-
-
-def test_env_flag_disables_numba(tmp_path):
-    code = (
-        "import molfuse.kernels as k; "
-        "print(k._DISABLE, k.USE_NUMBA, "
-        "k.scatter_add_rows is k.scatter_add_rows_np)"
-    )
-    assert run_numpy_fallback(code, tmp_path) == "True False True"
-
-
-def test_warmup_idempotent():
-    kernels.warmup()
-    kernels.warmup()
-
-
-def test_full_suite_runs_on_numpy_fallback(tmp_path):
-    """The dispatcher import path is env-dependent; spot-check a forward
-    pass under the fallback in a subprocess."""
-    code = (
-        "import molfuse.kernels as k\n"
-        "assert not k.USE_NUMBA\n"
-        "import numpy as np\n"
-        "from molfuse.integration import IntegratedModel, EncodedMolecule\n"
-        "from molfuse.lm import EncoderConfig\n"
-        "from molfuse.gnn import GnnConfig\n"
-        "from molfuse.smiles import Vocabulary, parse, tokenize\n"
-        "from molfuse.autodiff import Tape, backward\n"
-        "vocab = Vocabulary.build(['CCO', 'C1CC1'])\n"
-        "mols = [EncodedMolecule(parse(s), tokenize(s, vocab), 0.5)"
-        " for s in ('CCO', 'C1CC1')]\n"
-        "m = IntegratedModel('lm2mpnn', vocab_size=len(vocab), seed=0,\n"
-        "    encoder_config=EncoderConfig(vocab_size=len(vocab), hidden_dim=8,"
-        " num_layers=1, num_heads=2, ffn_dim=12, max_len=32),\n"
-        "    gnn_config=GnnConfig(hidden_dim=8, message_steps=2, edge_hidden=6))\n"
-        "tape = Tape()\n"
-        "loss, _, _ = m.forward_batch(tape, mols, batch_seed=0)\n"
-        "grads = backward(loss, tape)\n"
-        "assert np.isfinite(loss.values)\n"
-        "print('ok')\n"
-    )
-    assert run_numpy_fallback(code, tmp_path) == "ok"

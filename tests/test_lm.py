@@ -24,7 +24,7 @@ def small_config(**overrides):
 def token_sequence(ids):
     """TokenSequence over raw ids whose non-CLS tokens all count as atoms."""
     return TokenSequence(
-        token_ids=list(ids), mask=[True] * len(ids),
+        token_ids=list(ids),
         atom_token_positions=list(range(1, len(ids))), raw_tokens=[],
     )
 

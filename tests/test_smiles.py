@@ -60,11 +60,6 @@ class TestTokenize:
         assert seq.unknown_tokens == 1
         assert seq.atom_token_positions == [1, 3]
 
-    def test_mask_all_true(self, vocab):
-        seq = tokenize("CCO", vocab)
-        assert seq.mask == [True] * 4
-        assert len(seq.token_ids) == len(seq.mask)
-
 
 class TestParse:
     def test_corpus_counts(self, corpus):
