@@ -671,8 +671,6 @@ def _op_pnorm_diff(inputs, kw):
     a, b = inputs
     if a.shape != b.shape or a.values.ndim not in (1, 2):
         raise ShapeError("p-norm-of-difference", a.shape, b.shape)
-    if kw.get("p", 2) != 2:
-        raise ValueError("p-norm-of-difference: only p=2 is supported")
     ia, ib = _grad_id(a), _grad_id(b)
     diff = a.values - b.values
     norm = np.sqrt((diff * diff).sum(axis=-1))

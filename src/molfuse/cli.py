@@ -10,14 +10,15 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from .autodiff import Tape, backward, check_gradients, fd_gradients
-from .data import TaskKind, parse_ratio_string
-from .gnn import GnnConfig
-from .integration import STRATEGIES, EncodedMolecule, IntegratedModel
+from .data import TASK_KINDS, TaskKind, parse_ratio_string
+from .gnn import GNN_VARIANTS, UPDATE_KINDS, GnnConfig
+from .integration import FUSION_OPS, STRATEGIES, EncodedMolecule, IntegratedModel
 from .lm import EncoderConfig
 from .smiles import SmilesError, Vocabulary, parse, tokenize, tokenize_raw
 from .training import (
@@ -32,11 +33,21 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUN = 3
 
-CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+FIELD_CHOICES = {
+    "strategy": STRATEGIES,
+    "task": TASK_KINDS,
+    "fusion": FUSION_OPS,
+    "gnn_variant": GNN_VARIANTS,
+    "update_kind": UPDATE_KINDS,
+}
 
-ABLATION_SPLITS = ("9:0.5:0.5", "8:1:1", "7:2:1", "6:2:2")
-ABLATION_FUSIONS = ("sum", "max", "concat", "gate")
-ABLATION_GNNS = ("mpnn", "graphconv")
+# per ablation: the RunConfig field it sweeps, its values, default strategy
+ABLATIONS = {
+    "splits": ("ratios", ("9:0.5:0.5", "8:1:1", "7:2:1", "6:2:2"), "contrast-node"),
+    "fusion": ("fusion", FUSION_OPS, "late-fusion"),
+    "gnn": ("gnn_variant", GNN_VARIANTS, "late-fusion"),
+}
 
 TABLE_FOOTER = (
     "note: desk-scale reference runs; no numeric match to externally "
@@ -44,107 +55,87 @@ TABLE_FOOTER = (
 )
 
 
-def _parse_scalar(text):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def read_config_file(path):
-    """Flat ``key = value`` file; '#' starts a comment; unknown keys are
-    rejected with the list of valid keys."""
+    """Flat ``key = value`` file; '#' at the start of a line or after
+    whitespace starts a comment; unknown keys are rejected with the list of
+    valid keys."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in RUN_FIELDS:
                 raise ValueError(
                     f"{path}:{lineno}: unknown key '{key}'; valid keys: "
-                    f"{', '.join(CONFIG_KEYS)}"
+                    f"{', '.join(RUN_FIELDS)}"
                 )
             values[key] = value.strip()
     return values
 
 
-def _coerce(key, value):
-    if key == "ratios":
-        return parse_ratio_string(value) if isinstance(value, str) else value
-    if key == "seeds":
-        if isinstance(value, str):
-            return tuple(int(s) for s in value.replace(",", " ").split())
-        return value
-    if isinstance(value, str):
-        return _parse_scalar(value)
+def parse_field(key, text):
+    """A flag or file value as the type of RunConfig's default for ``key``:
+    ``ratios`` as 'a:b:c', ``seeds`` as integers separated by spaces or
+    commas, a bool as 'true' or 'false'. Raises ValueError naming the key."""
+    kind = type(RUN_FIELDS[key].default)
+    try:
+        if key == "ratios":
+            return parse_ratio_string(text)
+        if key == "seeds":
+            return tuple(int(s) for s in text.replace(",", " ").split())
+        if kind is bool and text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        value = text.lower() == "true" if kind is bool else kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{key} = {text}: {exc}") from exc
+    choices = FIELD_CHOICES.get(key)
+    if choices and value not in choices:
+        raise ValueError(f"{key} = {text}: choose from {', '.join(choices)}")
     return value
 
 
-def build_run_config(args):
-    """Config file values overridden by explicit command-line flags.
+def format_field(key, value):
+    """The text ``parse_field`` reads back as ``value``."""
+    if key == "ratios":
+        return ":".join(repr(r) for r in value)
+    if key == "seeds":
+        return " ".join(str(s) for s in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
 
-    Worker count falls back to the MOLFUSE_WORKERS environment variable
-    when neither a flag nor the file sets it.
-    """
-    merged = {}
+
+def build_run_config(args, **start):
+    """RunConfig from ``start``, then the config file, then explicit flags
+    (each overriding the one before)."""
+    merged = dict(start)
     if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            merged[key] = _coerce(key, value)
-    for key in CONFIG_KEYS:
+        merged.update(read_config_file(args.config))
+    for key in RUN_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = _coerce(key, flag)
-    if "workers" not in merged and os.environ.get("MOLFUSE_WORKERS"):
-        merged["workers"] = int(os.environ["MOLFUSE_WORKERS"])
-    return RunConfig.from_dict(merged)
+            merged[key] = flag
+    return RunConfig.from_dict({
+        key: parse_field(key, value) if isinstance(value, str) else value
+        for key, value in merged.items()
+    })
 
 
 def _add_run_flags(sub):
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--strategy", choices=STRATEGIES)
-    sub.add_argument("--dataset")
-    sub.add_argument("--task", choices=("regression", "binary-classification"))
-    sub.add_argument("--smiles-column", dest="smiles_column")
-    sub.add_argument("--label-column", dest="label_column")
-    sub.add_argument("--ratios", help="e.g. 8:1:1")
-    sub.add_argument("--seeds", help="e.g. '0 7 42 100 2024'")
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--max-epochs", dest="max_epochs", type=int)
-    sub.add_argument("--patience", type=int)
-    sub.add_argument("--fusion", choices=ABLATION_FUSIONS)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--alpha-graph", dest="alpha_graph", type=float)
-    sub.add_argument("--margin", type=float)
-    sub.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    sub.add_argument("--num-layers", dest="num_layers", type=int)
-    sub.add_argument("--num-heads", dest="num_heads", type=int)
-    sub.add_argument("--ffn-dim", dest="ffn_dim", type=int)
-    sub.add_argument("--max-len", dest="max_len", type=int)
-    sub.add_argument("--gnn-variant", dest="gnn_variant", choices=ABLATION_GNNS)
-    sub.add_argument("--message-steps", dest="message_steps", type=int)
-    sub.add_argument("--update-kind", dest="update_kind", choices=("gru", "mlp"))
-    sub.add_argument("--mlm-pretrain", dest="mlm_pretrain", action="store_const",
-                     const=True)
-    sub.add_argument("--mlm-epochs", dest="mlm_epochs", type=int)
-    sub.add_argument("--frozen-mpnn", dest="frozen_mpnn", action="store_const",
-                     const=True)
-    sub.add_argument("--cross-graph-negatives", dest="cross_graph_negatives",
-                     action="store_const", const=True)
-    sub.add_argument("--workers", type=int)
+    for key, field in RUN_FIELDS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(field.default, bool):
+            sub.add_argument(flag, dest=key, action="store_const", const=True)
+        else:
+            default = format_field(key, field.default) or "by task"
+            sub.add_argument(flag, dest=key, choices=FIELD_CHOICES.get(key),
+                             help=f"default: {default}")
     sub.add_argument("--out", default=None, help="output directory")
 
 
@@ -164,11 +155,10 @@ def _write_report(out_dir, name, report):
 
 
 def _snapshot_config(out_dir, config):
+    """config.txt, which --config reads back into an equal RunConfig."""
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        for key, value in config.to_dict().items():
-            if isinstance(value, (list, tuple)):
-                value = " ".join(str(v) for v in value)
-            fh.write(f"{key} = {value}\n")
+        for key in RUN_FIELDS:
+            fh.write(f"{key} = {format_field(key, getattr(config, key))}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -216,44 +206,16 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _ablation_cells(kind, config):
-    if kind == "splits":
-        return [
-            (ratio, dataclasses.replace(config, ratios=parse_ratio_string(ratio)))
-            for ratio in ABLATION_SPLITS
-        ]
-    if kind == "fusion":
-        return [
-            (op, dataclasses.replace(config, fusion=op)) for op in ABLATION_FUSIONS
-        ]
-    return [
-        (variant, dataclasses.replace(config, gnn_variant=variant))
-        for variant in ABLATION_GNNS
-    ]
-
-
-ABLATION_DEFAULT_STRATEGY = {
-    "splits": "contrast-node",
-    "fusion": "late-fusion",
-    "gnn": "late-fusion",
-}
-
-
 def cmd_ablate(args):
-    file_sets_strategy = bool(
-        args.config and "strategy" in read_config_file(args.config)
-    )
-    config = build_run_config(args)
-    if args.strategy is None and not file_sets_strategy:
-        config = dataclasses.replace(
-            config, strategy=ABLATION_DEFAULT_STRATEGY[args.kind]
-        )
+    key, labels, strategy = ABLATIONS[args.kind]
+    config = build_run_config(args, strategy=strategy)
     out_dir = _out_dir(args, f"ablate-{args.kind}")
     _snapshot_config(out_dir, config)
     rows = []
     records = []
     failed = False
-    for label, cell_config in _ablation_cells(args.kind, config):
+    for label in labels:
+        cell_config = dataclasses.replace(config, **{key: parse_field(key, label)})
         report = run_seeds(cell_config, out_dir=None)
         failed = failed or any(r.failed for r in report.results)
         rows.append((label, report.formatted_aggregate()))
@@ -397,7 +359,7 @@ def make_parser():
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("ablate", help="sweep splits, fusion ops, or gnn variants")
-    p.add_argument("kind", choices=("splits", "fusion", "gnn"))
+    p.add_argument("kind", choices=ABLATIONS)
     _add_run_flags(p)
     p.set_defaults(func=cmd_ablate)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from .smiles import SmilesError, parse
 
 PROTOCOL_SEEDS = (0, 7, 42, 100, 2024)
+TASK_KINDS = ("regression", "binary-classification")
+RATIO_TOLERANCE = 1e-9
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -55,10 +57,10 @@ class DataRecord:
 
 @dataclass
 class TaskKind:
-    kind: str  # "regression" | "binary-classification"
+    kind: str  # one of TASK_KINDS
 
     def __post_init__(self):
-        if self.kind not in ("regression", "binary-classification"):
+        if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind '{self.kind}'")
 
     @property
@@ -82,16 +84,19 @@ class SplitSpec:
     def __post_init__(self):
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
             raise ValueError(f"ratios must be three positives, got {self.ratios}")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
+        if abs(sum(self.ratios) - 1.0) > RATIO_TOLERANCE:
             raise ValueError(f"ratios must sum to 1.0, got {self.ratios}")
 
 
 def parse_ratio_string(text):
-    """'8:1:1' or '9:0.5:0.5' -> normalized (train, valid, test) fractions."""
-    parts = [float(p) for p in text.split(":")]
+    """'8:1:1' or '9:0.5:0.5' -> normalized (train, valid, test) fractions;
+    fields that already sum to 1 are kept, so written fractions read back."""
+    parts = tuple(float(p) for p in text.split(":"))
     if len(parts) != 3:
         raise ValueError(f"ratio '{text}' must have three fields")
     total = sum(parts)
+    if abs(total - 1.0) <= RATIO_TOLERANCE:
+        return parts
     return tuple(p / total for p in parts)
 
 

@@ -16,21 +16,23 @@ from .autodiff import constant, parameter
 from .lm import xavier
 from .smiles import EDGE_FEATURE_DIM, NODE_FEATURE_DIM
 
+GNN_VARIANTS = ("mpnn", "graphconv")
+UPDATE_KINDS = ("gru", "mlp")
+
 
 @dataclass
 class GnnConfig:
     hidden_dim: int = 64
     message_steps: int = 3
-    edge_feature_dim: int = EDGE_FEATURE_DIM
     variant: str = "mpnn"
     graphconv_layers: int = 2
     update_kind: str = "gru"
     edge_hidden: int = 64
 
     def __post_init__(self):
-        if self.variant not in ("mpnn", "graphconv"):
+        if self.variant not in GNN_VARIANTS:
             raise ValueError(f"unknown gnn variant '{self.variant}'")
-        if self.update_kind not in ("gru", "mlp"):
+        if self.update_kind not in UPDATE_KINDS:
             raise ValueError(f"unknown update kind '{self.update_kind}'")
         if self.message_steps < 0:
             raise ValueError("message_steps must be >= 0")
@@ -108,10 +110,9 @@ class Mpnn:
         w = cell_width or d
         self.cell_width = w
         eh = config.edge_hidden
-        ef = config.edge_feature_dim
         self.w_in = parameter(xavier(rng, NODE_FEATURE_DIM, d), "gnn.w_in")
         self.b_in = parameter(np.zeros(d), "gnn.b_in")
-        self.we1 = parameter(xavier(rng, ef, eh), "gnn.edge.w1")
+        self.we1 = parameter(xavier(rng, EDGE_FEATURE_DIM, eh), "gnn.edge.w1")
         self.be1 = parameter(np.zeros(eh), "gnn.edge.b1")
         self.we2 = parameter(xavier(rng, eh, w * w), "gnn.edge.w2")
         self.be2 = parameter(np.zeros(w * w), "gnn.edge.b2")
@@ -148,10 +149,9 @@ class Mpnn:
         return tape.apply("matmul", x, self.w_in, self.b_in)
 
     def _edge_mlp(self, tape, ef):
-        if ef.shape[-1] != self.config.edge_feature_dim:
+        if ef.shape[-1] != EDGE_FEATURE_DIM:
             raise ValueError(
-                f"edge features of width {ef.shape[-1]}, expected "
-                f"{self.config.edge_feature_dim}"
+                f"edge features of width {ef.shape[-1]}, expected {EDGE_FEATURE_DIM}"
             )
         hidden = tape.apply("relu", tape.apply("matmul", ef, self.we1, self.be1))
         return tape.apply("matmul", hidden, self.we2, self.be2)
@@ -201,15 +201,14 @@ class Mpnn:
             return states
         return tape.apply("matmul", states, self.w_proj, self.b_proj)
 
-    def run(self, tape, batch, steps=None, fuse_fn=None):
+    def run(self, tape, batch, fuse_fn=None):
         """T message-passing steps; fuse_fn (if given) injects aligned
         cross-model rows into h before both aggregation and update."""
-        steps = self.config.message_steps if steps is None else steps
         h = self.initial_states(tape, batch)
         message_fn = (
             self._message_operator(tape, batch) if batch.edge_src.size else None
         )
-        for _ in range(steps):
+        for _ in range(self.config.message_steps):
             fused = fuse_fn(tape, h) if fuse_fn is not None else h
             if message_fn is not None:
                 m = message_fn(tape, fused)
@@ -254,7 +253,7 @@ class GraphConv:
             own = tape.apply("add", own, tape.apply("matmul", summed, layer["w_nbr"]))
         return tape.apply("relu", own)
 
-    def run(self, tape, batch, steps=None, fuse_fn=None):
+    def run(self, tape, batch, fuse_fn=None):
         if fuse_fn is not None:
             raise ValueError("graphconv does not support message-level fusion")
         h = constant(batch.node_features)

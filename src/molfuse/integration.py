@@ -33,7 +33,6 @@ FUSION_OPS = ("sum", "max", "concat", "gate")
 @dataclass
 class ContrastConfig:
     margin: float = 1.0
-    norm_p: int = 2
     alpha: float = 0.1        # node-level regularization weight
     alpha_graph: float = 0.1  # graph-level regularization weight
 
@@ -144,8 +143,8 @@ def triplet_loss(tape, anchors, positives, triples, cfg):
     a = tape.apply("gather-rows", anchors, indices=triples.anchor_idx)
     p = tape.apply("gather-rows", positives, indices=triples.anchor_idx)
     n = tape.apply("gather-rows", positives, indices=triples.neg_idx)
-    d_ap = tape.apply("p-norm-of-difference", a, p, p=cfg.norm_p)
-    d_an = tape.apply("p-norm-of-difference", a, n, p=cfg.norm_p)
+    d_ap = tape.apply("p-norm-of-difference", a, p)
+    d_an = tape.apply("p-norm-of-difference", a, n)
     hinge = tape.apply(
         "relu",
         tape.apply(

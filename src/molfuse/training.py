@@ -341,6 +341,19 @@ def retain_heap():
     return _heap_retained
 
 
+def train_epoch(model, params, state, mols, batch_size, seed, epoch):
+    """Adam steps over ``mols`` in the epoch's seeded batch order; False at
+    the first non-finite loss, whose step is not taken."""
+    for b, batch in enumerate(batch_iter(mols, batch_size, _mix(seed, epoch))):
+        tape = Tape()
+        loss, _, _ = model.forward_batch(tape, batch, batch_seed=_mix(seed, epoch, b))
+        if not np.isfinite(loss.values):
+            return False
+        grads = backward(loss, tape)
+        adam_step(params, complete_gradients(params, grads), state)
+    return True
+
+
 def train_one(config, seed, out_dir=None, load_result=None):
     """One full protocol run for one seed.
 
@@ -410,17 +423,9 @@ def train_one(config, seed, out_dir=None, load_result=None):
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
         try:
-            for b, batch in enumerate(
-                batch_iter(train_mols, config.batch_size, _mix(seed, epoch))
-            ):
-                tape = Tape()
-                loss, _, _ = model.forward_batch(
-                    tape, batch, batch_seed=_mix(seed, epoch, b)
-                )
-                if not np.isfinite(loss.values):
-                    return failure(f"non-finite loss at epoch {epoch}", epoch)
-                grads = backward(loss, tape)
-                adam_step(params, complete_gradients(params, grads), state)
+            if not train_epoch(model, params, state, train_mols,
+                               config.batch_size, seed, epoch):
+                return failure(f"non-finite loss at epoch {epoch}", epoch)
             val_metric = evaluate(model, valid_mols, task)
         except FloatingPointError as exc:
             return failure(f"non-finite value at epoch {epoch}: {exc}", epoch)
@@ -519,11 +524,11 @@ def run_seeds(config, out_dir=None):
 # timing profile
 # ---------------------------------------------------------------------------
 
-def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
-                       seed=0):
+def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
     """Median per-epoch training wall time per strategy, plus the ordering
     verdicts (violations are reported, never raised).
 
+    Every strategy trains on the split and initial weights of seeds[0].
     Strategies advance one epoch at a time in rotation so slow machine
     drift hits them symmetrically, and the garbage collector pauses during
     measured epochs (tape churn otherwise triggers collector scans at
@@ -533,6 +538,7 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
     import gc
 
     retain_heap()
+    seed = config.seeds[0]
     task = TaskKind(config.task)
     data = load_csv(config.dataset, config.smiles_column, config.label_column, task)
     train_recs, _, _ = split(data.records, SplitSpec(config.ratios, seed))
@@ -557,15 +563,9 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1,
                 gc.disable()
                 faults_before = minor_faults()
                 started = time.perf_counter()
-                for b, batch in enumerate(
-                    batch_iter(train_mols, config.batch_size, _mix(seed, epoch))
-                ):
-                    tape = Tape()
-                    loss, _, _ = model.forward_batch(
-                        tape, batch, batch_seed=_mix(seed, epoch, b)
-                    )
-                    grads = backward(loss, tape)
-                    adam_step(params, complete_gradients(params, grads), state)
+                if not train_epoch(model, params, state, train_mols,
+                                   config.batch_size, seed, epoch):
+                    raise FloatingPointError(f"{strategy}: non-finite loss")
                 elapsed = time.perf_counter() - started
                 epoch_faults = minor_faults() - faults_before
                 gc.enable()

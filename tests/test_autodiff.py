@@ -72,7 +72,7 @@ class TestForwardExamples:
     def test_pnorm_345(self):
         tape = Tape()
         out = tape.apply(
-            "p-norm-of-difference", constant([0.0, 0.0]), constant([3.0, 4.0]), p=2
+            "p-norm-of-difference", constant([0.0, 0.0]), constant([3.0, 4.0])
         )
         assert out.values == pytest.approx(5.0, abs=0)
 

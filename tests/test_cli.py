@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,12 +11,17 @@ from molfuse.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    FIELD_CHOICES,
     TABLE_FOOTER,
+    _snapshot_config,
     build_run_config,
+    format_field,
     main,
+    make_parser,
     read_config_file,
 )
 from molfuse.synthdata import write_dataset
+from molfuse.training import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +80,94 @@ class TestConfigFile:
             "seeds = 0 7\n"
             "ratios = 8:1:1\n"
         )
-        import argparse
-
         args = argparse.Namespace(config=str(cfg_file), strategy=None, lr=0.5)
         config = build_run_config(args)
         assert config.strategy == "late-fusion"
         assert config.lr == 0.5  # flag beats file
         assert config.seeds == (0, 7)
         assert config.ratios == pytest.approx((0.8, 0.1, 0.1))
+
+    def test_start_values_give_way_to_file_and_flags(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("strategy = mpnn2lm\n")
+        start = {"strategy": "late-fusion"}
+        assert build_run_config(argparse.Namespace(), **start).strategy == "late-fusion"
+        from_file = argparse.Namespace(config=str(cfg_file))
+        assert build_run_config(from_file, **start).strategy == "mpnn2lm"
+        flag = argparse.Namespace(config=str(cfg_file), strategy="lm2mpnn")
+        assert build_run_config(flag, **start).strategy == "lm2mpnn"
+
+    def test_every_field_is_one_flag_and_one_key(self, tmp_path):
+        """A value of every field, none of them its default, set by flags
+        and read back from the config.txt snapshot, comes back equal and of
+        the field's type."""
+        changed = {}
+        for field in dataclasses.fields(RunConfig):
+            default = field.default
+            if field.name in FIELD_CHOICES:
+                changed[field.name] = FIELD_CHOICES[field.name][-1]
+            elif field.name == "ratios":
+                changed[field.name] = (0.7, 0.2, 0.1)
+            elif field.name == "seeds":
+                changed[field.name] = (3, 5)
+            elif isinstance(default, bool):
+                changed[field.name] = True
+            elif isinstance(default, (int, float)):
+                changed[field.name] = default * 3
+            else:
+                changed[field.name] = field.name + ".x"
+        target = RunConfig(**changed)
+
+        dests = set(vars(make_parser().parse_args(["train"])))
+        assert dests - {"command", "func", "config", "out"} == set(changed)
+
+        argv = ["train"]
+        for key, value in changed.items():
+            argv.append("--" + key.replace("_", "-"))
+            if not isinstance(value, bool):
+                argv.append(format_field(key, value))
+        from_flags = build_run_config(make_parser().parse_args(argv))
+        _snapshot_config(tmp_path, from_flags)
+        keys = read_config_file(tmp_path / "config.txt")
+        assert list(keys) == list(changed)
+        from_file = build_run_config(
+            argparse.Namespace(config=str(tmp_path / "config.txt"))
+        )
+        for config in (from_flags, from_file):
+            assert config == target
+            for key, value in changed.items():
+                assert type(getattr(config, key)) is type(value), key
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(), RunConfig(dataset="runs/#1/data.csv"),
+    ], ids=["defaults", "hash-in-path"])
+    def test_snapshot_reads_back(self, tmp_path, config):
+        _snapshot_config(tmp_path, config)
+        args = argparse.Namespace(config=str(tmp_path / "config.txt"))
+        assert build_run_config(args) == config
+
+    @pytest.mark.parametrize("line, key", [
+        ("lr = abc", "lr"),
+        ("mlm_pretrain = 1", "mlm_pretrain"),
+        ("hidden_dim = 64.0", "hidden_dim"),
+        ("task = regresion", "task"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, line, key):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n")
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} = ") and "Traceback" not in err
+
+    def test_bad_flag_value_names_its_key(self, capsys):
+        assert main(["train", "--max-epochs", "2.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: max_epochs = 2.5: ")
+
+    def test_string_field_keeps_digits_as_text(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("label_column = 2024\n")
+        config = build_run_config(argparse.Namespace(config=str(cfg_file)))
+        assert config.label_column == "2024"
 
     def test_unknown_key_lists_valid_keys(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -114,6 +201,29 @@ class TestTrainCommand:
         assert records[0]["type"] == "seed" and records[-1]["type"] == "aggregate"
         out = capsys.readouterr().out
         assert "aggregate:" in out
+
+    def test_rerun_from_snapshot_gives_the_same_records(self, tiny_csv, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(
+            ["train", "--strategy", "contrast-node", "--dataset", tiny_csv,
+             "--seeds", "0", "--ratios", "7:2:1", "--out", str(first)]
+            + TINY_FLAGS
+        ) == EXIT_OK
+        assert main(
+            ["train", "--config", str(first / "config.txt"), "--out", str(second)]
+        ) == EXIT_OK
+        snapshot = (first / "config.txt").read_text()
+        assert "ratios = 0.7:0.2:0.1\n" in snapshot
+        assert (second / "config.txt").read_text() == snapshot
+
+        def comparable_records(out_dir):
+            records = [json.loads(line) for line in
+                       (out_dir / "report.jsonl").read_text().splitlines()]
+            for record in records:
+                record.pop("timing", None)
+            return records
+
+        assert comparable_records(second) == comparable_records(first)
 
     def test_concat_fusion_autoconfigures_head(self, tiny_csv, tmp_path):
         code = main(
@@ -157,6 +267,11 @@ class TestAblateCommand:
         out = capsys.readouterr().out
         assert "mpnn" in out and "graphconv" in out
         assert "late-fusion" in out  # default strategy for this ablation
+        snapshot = tmp_path / "gn" / "config.txt"
+        config = build_run_config(argparse.Namespace(config=str(snapshot)))
+        assert config.strategy == "late-fusion"
+        _snapshot_config(tmp_path, config)
+        assert (tmp_path / "config.txt").read_text() == snapshot.read_text()
 
     def test_splits_table_rows(self, tiny_csv, tmp_path, capsys):
         code = main(

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from molfuse import training
+from molfuse.autodiff import constant
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
+from molfuse.integration import IntegratedModel
 from molfuse.smiles import Vocabulary, parse
 from molfuse.synthdata import write_dataset
 from molfuse.training import (
@@ -278,6 +280,30 @@ class TestRunSeeds:
         assert not second.failed and math.isfinite(second.test_metric)
         assert report.aggregate() == (second.test_metric, 0.0)
 
+    def test_non_finite_loss_fails_before_its_step(self, tiny_csv, monkeypatch):
+        # the second training batch's loss is replaced by inf
+        real_forward = IntegratedModel.forward_batch
+        losses = []
+
+        def forward(model, tape, mols, batch_seed=0, predict_only=False):
+            loss, preds, info = real_forward(model, tape, mols, batch_seed,
+                                             predict_only)
+            if not predict_only:
+                losses.append(loss)
+                if len(losses) == 2:
+                    loss = constant(np.inf)
+            return loss, preds, info
+
+        steps = []
+        real_step = training.adam_step
+        monkeypatch.setattr(IntegratedModel, "forward_batch", forward)
+        monkeypatch.setattr(training, "adam_step",
+                            lambda *args: steps.append(real_step(*args)))
+        _, result = train_one(tiny_config(tiny_csv, max_epochs=2), 0)
+        assert result.failed and result.epochs_run == 0
+        assert result.failure_reason == "non-finite loss at epoch 0"
+        assert len(steps) == 1
+
 
 # Ten training steps of a small mpnn-baseline model on one fixed batch of
 # 32 bbbp-like molecules, after retain_heap; prints each step's minor page
@@ -392,6 +418,19 @@ class TestProfile:
             assert len(entry["minor_faults"]) == 2
             assert all(n >= 0 for n in entry["minor_faults"])
         assert out["verdicts"][0]["check"] == "graph-contrast <= node-contrast"
+
+    def test_profile_uses_the_first_configured_seed(self, tiny_csv, monkeypatch):
+        seeds = []
+        real_split = training.split
+
+        def recording_split(records, spec):
+            seeds.append(spec.seed)
+            return real_split(records, spec)
+
+        monkeypatch.setattr(training, "split", recording_split)
+        profile_strategies(tiny_config(tiny_csv, seeds=(7, 0)), ["mpnn-baseline"],
+                           measured_epochs=1, warmup_epochs=0)
+        assert seeds == [7]
 
     def test_attention_scaling_quadratic(self):
         out = attention_scaling(base_len=128, repeats=9)
