@@ -16,14 +16,14 @@ import sys
 import numpy as np
 
 from .autodiff import Tape, backward, check_gradients, fd_gradients
-from .data import TASK_KINDS, TaskKind, parse_ratio_string
-from .gnn import GNN_VARIANTS, UPDATE_KINDS, GnnConfig
-from .integration import FUSION_OPS, STRATEGIES, EncodedMolecule, IntegratedModel
-from .lm import EncoderConfig
+from .data import TaskKind, parse_ratio_string
+from .integration import STRATEGIES, EncodedMolecule
 from .smiles import SmilesError, Vocabulary, parse, tokenize, tokenize_raw
 from .training import (
+    CHOICES,
     RunConfig,
     attention_scaling,
+    build_model,
     profile_strategies,
     run_seeds,
 )
@@ -34,19 +34,12 @@ EXIT_DATA = 2
 EXIT_RUN = 3
 
 RUN_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-FIELD_CHOICES = {
-    "strategy": STRATEGIES,
-    "task": TASK_KINDS,
-    "fusion": FUSION_OPS,
-    "gnn_variant": GNN_VARIANTS,
-    "update_kind": UPDATE_KINDS,
-}
 
 # per ablation: the RunConfig field it sweeps, its values, default strategy
 ABLATIONS = {
     "splits": ("ratios", ("9:0.5:0.5", "8:1:1", "7:2:1", "6:2:2"), "contrast-node"),
-    "fusion": ("fusion", FUSION_OPS, "late-fusion"),
-    "gnn": ("gnn_variant", GNN_VARIANTS, "late-fusion"),
+    "fusion": ("fusion", CHOICES["fusion"], "late-fusion"),
+    "gnn": ("gnn_variant", CHOICES["gnn_variant"], "late-fusion"),
 }
 
 TABLE_FOOTER = (
@@ -81,7 +74,8 @@ def read_config_file(path):
 def parse_field(key, text):
     """A flag or file value as the type of RunConfig's default for ``key``:
     ``ratios`` as 'a:b:c', ``seeds`` as integers separated by spaces or
-    commas, a bool as 'true' or 'false'. Raises ValueError naming the key."""
+    commas, a bool as 'true' or 'false'. Raises ValueError naming the key;
+    RunConfig checks the value's range."""
     kind = type(RUN_FIELDS[key].default)
     try:
         if key == "ratios":
@@ -90,13 +84,9 @@ def parse_field(key, text):
             return tuple(int(s) for s in text.replace(",", " ").split())
         if kind is bool and text.lower() not in ("true", "false"):
             raise ValueError("expected true or false")
-        value = text.lower() == "true" if kind is bool else kind(text)
+        return text.lower() == "true" if kind is bool else kind(text)
     except ValueError as exc:
         raise ValueError(f"{key} = {text}: {exc}") from exc
-    choices = FIELD_CHOICES.get(key)
-    if choices and value not in choices:
-        raise ValueError(f"{key} = {text}: choose from {', '.join(choices)}")
-    return value
 
 
 def format_field(key, value):
@@ -130,12 +120,13 @@ def _add_run_flags(sub):
     sub.add_argument("--config", help="flat key = value config file")
     for key, field in RUN_FIELDS.items():
         flag = "--" + key.replace("_", "-")
+        hint = f"default: {format_field(key, field.default) or 'by task'}"
         if isinstance(field.default, bool):
-            sub.add_argument(flag, dest=key, action="store_const", const=True)
+            # --<flag> and --no-<flag> both beat a config file's value
+            sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
+                             help=hint)
         else:
-            default = format_field(key, field.default) or "by task"
-            sub.add_argument(flag, dest=key, choices=FIELD_CHOICES.get(key),
-                             help=f"default: {default}")
+            sub.add_argument(flag, dest=key, choices=CHOICES.get(key), help=hint)
     sub.add_argument("--out", default=None, help="output directory")
 
 
@@ -275,16 +266,11 @@ def strategy_gradient_errors(tolerance=1e-4, seed=0):
     ]
     errors = {}
     for strategy in STRATEGIES:
-        model = IntegratedModel(
-            strategy,
-            vocab_size=len(vocab),
-            seed=seed,
-            encoder_config=EncoderConfig(
-                vocab_size=len(vocab), hidden_dim=8, num_layers=1,
-                num_heads=2, ffn_dim=12, max_len=32,
-            ),
-            gnn_config=GnnConfig(hidden_dim=8, message_steps=2, edge_hidden=6),
+        config = RunConfig(
+            strategy=strategy, hidden_dim=8, num_layers=1, num_heads=2,
+            ffn_dim=12, max_len=32, message_steps=2, edge_hidden=6,
         )
+        model = build_model(config, len(vocab), seed)
         params = model.parameters()
 
         def run():

@@ -6,9 +6,10 @@ are scatter-added per destination node. The node update is a gated
 recurrent cell (a plain two-layer perceptron is available behind
 ``update_kind`` for ablations). Batches concatenate graphs with boundary
 offsets instead of padding; readout is the mean over each graph's block.
+Both variants read their sizes from a :class:`molfuse.training.RunConfig`:
+``gnn_variant``, ``hidden_dim``, ``message_steps``, ``update_kind`` and
+``edge_hidden`` for the message passer, ``graphconv_layers`` for GraphConv.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,24 +19,6 @@ from .smiles import EDGE_FEATURE_DIM, NODE_FEATURE_DIM
 
 GNN_VARIANTS = ("mpnn", "graphconv")
 UPDATE_KINDS = ("gru", "mlp")
-
-
-@dataclass
-class GnnConfig:
-    hidden_dim: int = 64
-    message_steps: int = 3
-    variant: str = "mpnn"
-    graphconv_layers: int = 2
-    update_kind: str = "gru"
-    edge_hidden: int = 64
-
-    def __post_init__(self):
-        if self.variant not in GNN_VARIANTS:
-            raise ValueError(f"unknown gnn variant '{self.variant}'")
-        if self.update_kind not in UPDATE_KINDS:
-            raise ValueError(f"unknown update kind '{self.update_kind}'")
-        if self.message_steps < 0:
-            raise ValueError("message_steps must be >= 0")
 
 
 class GraphBatch:
@@ -266,6 +249,6 @@ class GraphConv:
 
 
 def build_gnn(config, rng, cell_width=None):
-    if config.variant == "graphconv":
+    if config.gnn_variant == "graphconv":
         return GraphConv(config, rng)
     return Mpnn(config, rng, cell_width=cell_width)

@@ -6,16 +6,18 @@ the two graph embeddings, and the two joint fusions (message-passer
 states injected into the encoder input, or encoder token outputs injected
 into every message-passing step). Contrastive negatives come from seeded
 within-graph derangements by default; cross-graph sampling sits behind a
-flag.
+flag. ``IntegratedModel`` takes one :class:`molfuse.training.RunConfig`
+and hands it to both components, so they share one ``hidden_dim``; the
+strategy, fusion op, task and contrast weights come from the same object.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, constant, parameter
-from .gnn import GnnConfig, GraphBatch, build_gnn
-from .lm import EncoderConfig, PredictionHead, SmilesEncoder, xavier
+from .gnn import GraphBatch, build_gnn
+from .lm import PredictionHead, SmilesEncoder, xavier
 from .smiles import pack_batch
 
 STRATEGIES = (
@@ -28,19 +30,6 @@ STRATEGIES = (
     "lm2mpnn",
 )
 FUSION_OPS = ("sum", "max", "concat", "gate")
-
-
-@dataclass
-class ContrastConfig:
-    margin: float = 1.0
-    alpha: float = 0.1        # node-level regularization weight
-    alpha_graph: float = 0.1  # graph-level regularization weight
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if self.alpha < 0 or self.alpha_graph < 0:
-            raise ValueError("regularization weights must be >= 0")
 
 
 @dataclass
@@ -136,7 +125,7 @@ def build_triples(lm_nodes, mpnn_nodes, offsets, seed, cross_graph=False):
     )
 
 
-def triplet_loss(tape, anchors, positives, triples, cfg):
+def triplet_loss(tape, anchors, positives, triples, margin):
     """Sum over triples of max(||a-p||_2 - ||a-n||_2 + margin, 0)."""
     if len(triples) == 0:
         return constant(np.asarray(0.0))
@@ -148,7 +137,7 @@ def triplet_loss(tape, anchors, positives, triples, cfg):
     hinge = tape.apply(
         "relu",
         tape.apply(
-            "add", tape.apply("subtract", d_ap, d_an), constant(cfg.margin)
+            "add", tape.apply("subtract", d_ap, d_an), constant(margin)
         ),
     )
     return tape.apply("sum-over-rows", hinge)
@@ -189,36 +178,12 @@ class IntegratedModel:
     for the components they have in common regardless of strategy.
     """
 
-    def __init__(
-        self,
-        strategy,
-        vocab_size,
-        seed=0,
-        encoder_config=None,
-        gnn_config=None,
-        fusion="sum",
-        contrast=None,
-        task_kind="regression",
-        frozen_mpnn=False,
-        cross_graph_negatives=False,
-    ):
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy '{strategy}'; choose from {STRATEGIES}"
-            )
-        if fusion not in FUSION_OPS:
-            raise ValueError(f"unknown fusion op '{fusion}'; choose from {FUSION_OPS}")
-        self.strategy = strategy
-        self.fusion = fusion
-        self.contrast = contrast or ContrastConfig()
-        self.task_kind = task_kind
-        self.frozen_mpnn = frozen_mpnn
-        self.cross_graph_negatives = cross_graph_negatives
-        self.encoder_config = encoder_config or EncoderConfig(vocab_size=vocab_size)
-        self.gnn_config = gnn_config or GnnConfig()
-        d = self.encoder_config.hidden_dim
-        if self.gnn_config.hidden_dim != d:
-            raise ValueError("encoder and gnn hidden dims must agree")
+    def __init__(self, config, vocab_size, seed=0):
+        self.config = config
+        strategy, fusion = config.strategy, config.fusion
+        d = config.hidden_dim
+        if strategy == "lm2mpnn" and config.gnn_variant != "mpnn":
+            raise ValueError("lm2mpnn requires the mpnn variant")
 
         self.encoder = None
         self.gnn = None
@@ -228,15 +193,12 @@ class IntegratedModel:
 
         if strategy != "mpnn-baseline":
             self.encoder = SmilesEncoder(
-                self.encoder_config, np.random.default_rng([seed, 0])
+                config, vocab_size, np.random.default_rng([seed, 0])
             )
         if strategy != "lm-baseline":
             cell_width = 2 * d if (strategy == "lm2mpnn" and fusion == "concat") else d
-            if strategy == "lm2mpnn" and self.gnn_config.variant != "mpnn":
-                raise ValueError("lm2mpnn requires the mpnn variant")
             self.gnn = build_gnn(
-                self.gnn_config, np.random.default_rng([seed, 1]),
-                cell_width=cell_width,
+                config, np.random.default_rng([seed, 1]), cell_width=cell_width
             )
         head_width = 2 * d if (strategy == "late-fusion" and fusion == "concat") else d
         self.head = PredictionHead(
@@ -287,7 +249,7 @@ class IntegratedModel:
         target = constant(labels.reshape(-1, 1))
         kind = (
             "squared-error"
-            if self.task_kind == "regression"
+            if self.config.task == "regression"
             else "binary-cross-entropy-with-logit"
         )
         return tape.apply(kind, preds, target)
@@ -307,8 +269,8 @@ class IntegratedModel:
             num_rows=len(packed.token_ids),
         )
         e_in = self.encoder.embed(tape, packed.token_ids, packed.positions)
-        fused = fuse(tape, e_in, injected, self.fusion, self.gate_params)
-        if self.fusion == "concat":
+        fused = fuse(tape, e_in, injected, self.config.fusion, self.gate_params)
+        if self.config.fusion == "concat":
             fused = tape.apply("matmul", fused, self.mpnn2lm_proj)
         e_out = self.encoder.encode(tape, fused, packed.offsets)
         pooled = tape.apply("segment-mean", e_out, offsets=packed.offsets)
@@ -316,7 +278,7 @@ class IntegratedModel:
 
     def _forward_lm2mpnn(self, tape, gb, lm_node_rows):
         def inject(t, h):
-            return fuse(t, h, lm_node_rows, self.fusion, self.gate_params)
+            return fuse(t, h, lm_node_rows, self.config.fusion, self.gate_params)
 
         states = self.gnn.run(tape, gb, fuse_fn=inject)
         pooled = self.gnn.readout(tape, states, gb)
@@ -328,22 +290,24 @@ class IntegratedModel:
         Regression predictions are raw head outputs; classification
         predictions are logits (consumers apply the logistic function).
         """
+        config = self.config
+        strategy = config.strategy
         labels = np.asarray([m.label for m in mols], dtype=np.float64)
         gb = GraphBatch.from_graphs([m.graph for m in mols]) \
-            if self.strategy != "lm-baseline" else None
+            if strategy != "lm-baseline" else None
         info = {"skipped_triples": 0, "contrast_skipped": 0}
 
-        if self.strategy == "lm-baseline":
+        if strategy == "lm-baseline":
             cls_rows, _ = self._lm_outputs(tape, mols, want_nodes=False)
             preds = self.head.forward(tape, cls_rows)
             return self._prediction_loss(tape, preds, labels), preds, info
 
-        if self.strategy == "mpnn-baseline":
+        if strategy == "mpnn-baseline":
             pooled, _ = self._mpnn_readout(tape, gb)
             preds = self.head.forward(tape, pooled)
             return self._prediction_loss(tape, preds, labels), preds, info
 
-        if self.strategy == "contrast-node":
+        if strategy == "contrast-node":
             _, lm_nodes = self._lm_outputs(tape, mols, want_nodes=True)
             per_graph = tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
             preds = self.head.forward(tape, per_graph)
@@ -351,25 +315,25 @@ class IntegratedModel:
                 return None, preds, info
             pred_loss = self._prediction_loss(tape, preds, labels)
             mpnn_states = self.gnn.run(tape, gb)
-            if self.frozen_mpnn:
+            if config.frozen_mpnn:
                 mpnn_states = tape.detach(mpnn_states)
             triples = build_triples(
                 lm_nodes, mpnn_states, gb.offsets, batch_seed,
-                cross_graph=self.cross_graph_negatives,
+                cross_graph=config.cross_graph_negatives,
             )
             info["skipped_triples"] = triples.skipped
-            trip = triplet_loss(tape, lm_nodes, mpnn_states, triples, self.contrast)
-            total = self._contrast_total(tape, pred_loss, trip, self.contrast.alpha)
+            trip = triplet_loss(tape, lm_nodes, mpnn_states, triples, config.margin)
+            total = self._contrast_total(tape, pred_loss, trip, config.alpha)
             return total, preds, info
 
-        if self.strategy == "contrast-graph":
+        if strategy == "contrast-graph":
             cls_rows, _ = self._lm_outputs(tape, mols, want_nodes=False)
             preds = self.head.forward(tape, cls_rows)
             if predict_only:
                 return None, preds, info
             pred_loss = self._prediction_loss(tape, preds, labels)
             pooled, _ = self._mpnn_readout(tape, gb)
-            if self.frozen_mpnn:
+            if config.frozen_mpnn:
                 pooled = tape.detach(pooled)
             if len(mols) < 2:
                 info["contrast_skipped"] = 1
@@ -378,20 +342,20 @@ class IntegratedModel:
             triples = TripleBatch(
                 np.arange(len(mols), dtype=np.int64), perm.astype(np.int64)
             )
-            trip = triplet_loss(tape, cls_rows, pooled, triples, self.contrast)
+            trip = triplet_loss(tape, cls_rows, pooled, triples, config.margin)
             total = self._contrast_total(
-                tape, pred_loss, trip, self.contrast.alpha_graph
+                tape, pred_loss, trip, config.alpha_graph
             )
             return total, preds, info
 
-        if self.strategy == "late-fusion":
+        if strategy == "late-fusion":
             cls_rows, _ = self._lm_outputs(tape, mols, want_nodes=False)
             pooled, _ = self._mpnn_readout(tape, gb)
-            fused = fuse(tape, cls_rows, pooled, self.fusion, self.gate_params)
+            fused = fuse(tape, cls_rows, pooled, config.fusion, self.gate_params)
             preds = self.head.forward(tape, fused)
             return self._prediction_loss(tape, preds, labels), preds, info
 
-        if self.strategy == "mpnn2lm":
+        if strategy == "mpnn2lm":
             mpnn_states = self.gnn.run(tape, gb)
             preds = self._forward_mpnn2lm(tape, mols, gb, mpnn_states)
             return self._prediction_loss(tape, preds, labels), preds, info

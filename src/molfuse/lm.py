@@ -6,33 +6,18 @@ a sequence-level embedding (the CLS row), and a property prediction.
 Blocks are post-layer-norm: x = LN(x + attention(x)); x = LN(x + ffn(x)).
 A batch runs as one packed matrix of all its token rows; attention is
 computed per sequence, so no row sees another sequence and none is padded.
+The encoder reads ``hidden_dim``, ``num_layers``, ``num_heads``,
+``ffn_dim`` and ``max_len`` from a :class:`molfuse.training.RunConfig`;
+the vocabulary size comes from the training split.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, backward, parameter
 from .optim import AdamState, adam_step, complete_gradients
 from .smiles import Vocabulary, pack_batch
-
-
-@dataclass
-class EncoderConfig:
-    vocab_size: int
-    hidden_dim: int = 64
-    num_layers: int = 3
-    num_heads: int = 4
-    ffn_dim: int = 256
-    max_len: int = 256
-
-    def __post_init__(self):
-        if self.hidden_dim % self.num_heads:
-            raise ValueError(
-                f"hidden_dim {self.hidden_dim} not divisible by "
-                f"num_heads {self.num_heads}"
-            )
 
 
 def xavier(rng, fan_in, fan_out):
@@ -48,12 +33,13 @@ class SmilesEncoder:
     end, with ``offsets`` marking where each sequence starts.
     """
 
-    def __init__(self, config, rng):
+    def __init__(self, config, vocab_size, rng):
         self.config = config
+        self.vocab_size = vocab_size
         d = config.hidden_dim
         dk = d // config.num_heads
         self.token_embedding = parameter(
-            rng.normal(0.0, 0.02, size=(config.vocab_size, d)), "lm.tok_emb"
+            rng.normal(0.0, 0.02, size=(vocab_size, d)), "lm.tok_emb"
         )
         self.position_embedding = parameter(
             rng.normal(0.0, 0.02, size=(config.max_len, d)), "lm.pos_emb"
@@ -198,7 +184,7 @@ def select_mlm_positions(sequence, mask_rate, rng):
     return picks
 
 
-def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate=0.15, seed=0):
+def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate, seed=0):
     """Mask tokens, predict the originals, take one Adam step.
 
     Returns the scalar loss, or None when no token was maskable (the step
@@ -235,7 +221,7 @@ def run_mlm_pretraining(encoder, train_sequences, epochs, batch_size, lr,
                         mask_rate, seed):
     """Self-contained MLM stage over the training split's sequences."""
     rng = np.random.default_rng(seed)
-    head = MlmHead(encoder.config.hidden_dim, encoder.config.vocab_size, rng)
+    head = MlmHead(encoder.config.hidden_dim, encoder.vocab_size, rng)
     params = encoder.parameters() + head.parameters()
     state = AdamState(params, lr=lr)
     losses = []

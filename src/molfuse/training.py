@@ -15,6 +15,7 @@ from .autodiff import Tape, backward, constant
 from .checkpoint import save_checkpoint
 from .data import (
     PROTOCOL_SEEDS,
+    TASK_KINDS,
     SplitSpec,
     TaskKind,
     batch_iter,
@@ -22,9 +23,9 @@ from .data import (
     naive_baseline,
     split,
 )
-from .gnn import GnnConfig
-from .integration import ContrastConfig, EncodedMolecule, IntegratedModel
-from .lm import EncoderConfig, run_mlm_pretraining
+from .gnn import GNN_VARIANTS, UPDATE_KINDS
+from .integration import FUSION_OPS, STRATEGIES, EncodedMolecule, IntegratedModel
+from .lm import run_mlm_pretraining
 from .optim import AdamState, adam_step, complete_gradients
 from .smiles import Vocabulary, parse, tokenize
 
@@ -45,9 +46,32 @@ M_MMAP_THRESHOLD = -3
 HEAP_MMAP_THRESHOLD = 64 << 20
 HEAP_TRIM_THRESHOLD = 256 << 20
 
+# the valid values of each RunConfig field that has a fixed set of them
+CHOICES = {
+    "strategy": STRATEGIES,
+    "task": TASK_KINDS,
+    "fusion": FUSION_OPS,
+    "gnn_variant": GNN_VARIANTS,
+    "update_kind": UPDATE_KINDS,
+}
+# the least value of each integer RunConfig field: a count of layers,
+# message steps or MLM epochs may be 0, every other size must be >= 1
+FLOORS = {
+    "batch_size": 1, "max_epochs": 1, "patience": 1, "hidden_dim": 1,
+    "num_layers": 0, "num_heads": 1, "ffn_dim": 1, "max_len": 1,
+    "message_steps": 0, "graphconv_layers": 0, "edge_hidden": 1,
+    "mlm_epochs": 0, "workers": 1,
+}
+
 
 @dataclass
 class RunConfig:
+    """One run: the data, the protocol and every model hyperparameter.
+
+    Each field is declared, given its default and validated here alone;
+    the model components read their sizes and options from this object.
+    """
+
     strategy: str = "lm-baseline"
     dataset: str = "data/esol.csv"
     task: str = "regression"
@@ -81,11 +105,24 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seed list must be non-empty")
-        for name in ("lr", "batch_size", "max_epochs", "patience", "hidden_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        """Raises ValueError naming the first field out of its range."""
+        def check(name, ok, why):
+            if not ok:
+                raise ValueError(f"{name} = {getattr(self, name)}: {why}")
+
+        check("seeds", self.seeds, "must be non-empty")
+        for name, choices in CHOICES.items():
+            check(name, getattr(self, name) in choices,
+                  f"choose from {', '.join(choices)}")
+        for name, floor in FLOORS.items():
+            check(name, getattr(self, name) >= floor, f"must be >= {floor}")
+        check("lr", self.lr > 0, "must be > 0")
+        check("margin", self.margin > 0, "must be > 0")
+        check("alpha", self.alpha >= 0, "must be >= 0")
+        check("alpha_graph", self.alpha_graph >= 0, "must be >= 0")
+        check("mlm_rate", 0 <= self.mlm_rate <= 1, "must be in [0, 1]")
+        check("hidden_dim", self.hidden_dim % self.num_heads == 0,
+              f"not divisible by num_heads = {self.num_heads}")
         if not self.label_column:
             self.label_column = DEFAULT_LABEL_COLUMNS[self.task]
 
@@ -103,25 +140,6 @@ class RunConfig:
         if "seeds" in data:
             data["seeds"] = tuple(data["seeds"])
         return cls(**data)
-
-    def encoder_config(self, vocab_size):
-        return EncoderConfig(
-            vocab_size=vocab_size, hidden_dim=self.hidden_dim,
-            num_layers=self.num_layers, num_heads=self.num_heads,
-            ffn_dim=self.ffn_dim, max_len=self.max_len,
-        )
-
-    def gnn_config(self):
-        return GnnConfig(
-            hidden_dim=self.hidden_dim, message_steps=self.message_steps,
-            variant=self.gnn_variant, graphconv_layers=self.graphconv_layers,
-            update_kind=self.update_kind, edge_hidden=self.edge_hidden,
-        )
-
-    def contrast_config(self):
-        return ContrastConfig(
-            margin=self.margin, alpha=self.alpha, alpha_graph=self.alpha_graph
-        )
 
 
 @dataclass
@@ -279,18 +297,7 @@ def prepare_molecules(records, vocab, max_len):
 
 
 def build_model(config, vocab_size, seed):
-    return IntegratedModel(
-        config.strategy,
-        vocab_size=vocab_size,
-        seed=seed,
-        encoder_config=config.encoder_config(vocab_size),
-        gnn_config=config.gnn_config(),
-        fusion=config.fusion,
-        contrast=config.contrast_config(),
-        task_kind=config.task,
-        frozen_mpnn=config.frozen_mpnn,
-        cross_graph_negatives=config.cross_graph_negatives,
-    )
+    return IntegratedModel(config, vocab_size, seed)
 
 
 def blas_threads():
@@ -597,8 +604,7 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
     return {"timings": timings, "verdicts": verdicts}
 
 
-def attention_core_seconds(seq_len, hidden_dim=64, num_heads=4, repeats=25,
-                           seed=0):
+def attention_core_seconds(seq_len, hidden_dim, num_heads, repeats, seed=0):
     """Median wall time of the O(N^2 d) attention core at one length.
 
     Times one ``packed-attention`` op on a single sequence of ``seq_len``
@@ -621,14 +627,16 @@ def attention_core_seconds(seq_len, hidden_dim=64, num_heads=4, repeats=25,
     return float(np.median(times[2:]))  # first two are warmup
 
 
-def attention_scaling(base_len=128, hidden_dim=64, num_heads=4, repeats=25):
+def attention_scaling(base_len=128, repeats=25):
     """Time the attention core at N and 2N; ratio tracks the N^2 cost.
 
-    The default lengths keep both score matrices inside the cache so the
-    ratio reflects the quadratic flop count rather than a cache cliff.
+    The heads and width are RunConfig's defaults. The default lengths keep
+    both score matrices inside the cache so the ratio reflects the
+    quadratic flop count rather than a cache cliff.
     """
-    t1 = attention_core_seconds(base_len, hidden_dim, num_heads, repeats)
-    t2 = attention_core_seconds(2 * base_len, hidden_dim, num_heads, repeats)
+    d, heads = RunConfig.hidden_dim, RunConfig.num_heads
+    t1 = attention_core_seconds(base_len, d, heads, repeats)
+    t2 = attention_core_seconds(2 * base_len, d, heads, repeats)
     return {
         "base_len": base_len,
         "seconds": {base_len: t1, 2 * base_len: t2},

@@ -19,7 +19,6 @@ from molfuse.cli import main, strategy_gradient_errors
 from molfuse.data import load_csv, REGRESSION
 from molfuse.gnn import GraphBatch
 from molfuse.integration import (
-    ContrastConfig,
     IntegratedModel,
     STRATEGIES,
     TripleBatch,
@@ -138,7 +137,7 @@ def test_c3_loss_oracles():
         tb = build_triples(lm, mp, offsets, seed=int(rng.integers(1 << 30)))
         got = float(
             triplet_loss(
-                Tape(), constant(lm), constant(mp), tb, ContrastConfig()
+                Tape(), constant(lm), constant(mp), tb, 1.0
             ).values
         )
         want = float(brute_force_triplet_total(tb.materialize(lm, mp), 1.0))
@@ -232,11 +231,13 @@ def test_c5_structural_invariances():
     """Permutation invariance and batch independence of the message
     passer (< 1e-9), batch invariance of the packed encoder (< 1e-9),
     attention rows normalized (< 1e-12) and confined to their sequence."""
-    from molfuse.gnn import GnnConfig, Mpnn
-    from molfuse.lm import EncoderConfig, SmilesEncoder
+    from molfuse.gnn import Mpnn
+    from molfuse.lm import SmilesEncoder
 
+    config = RunConfig(hidden_dim=64, num_layers=3, num_heads=4, ffn_dim=256,
+                       max_len=64, message_steps=3)
     rng = np.random.default_rng(17)
-    mpnn = Mpnn(GnnConfig(hidden_dim=64, message_steps=3), rng)
+    mpnn = Mpnn(config, rng)
     graph = parse("N#Cc1ccccc1")
     perm = np.random.default_rng(3).permutation(graph.num_atoms)
     permuted = parse("N#Cc1ccccc1")
@@ -259,11 +260,7 @@ def test_c5_structural_invariances():
         - readout_of([parse("CCO"), graph, parse("C")], 1)
     ).max()
 
-    encoder = SmilesEncoder(
-        EncoderConfig(vocab_size=24, hidden_dim=64, num_layers=3, num_heads=4,
-                      ffn_dim=256, max_len=64),
-        np.random.default_rng(0),
-    )
+    encoder = SmilesEncoder(config, 24, np.random.default_rng(0))
 
     def sequence(ids):
         return TokenSequence(

@@ -11,7 +11,6 @@ from molfuse.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
-    FIELD_CHOICES,
     TABLE_FOOTER,
     _snapshot_config,
     build_run_config,
@@ -21,7 +20,7 @@ from molfuse.cli import (
     read_config_file,
 )
 from molfuse.synthdata import write_dataset
-from molfuse.training import RunConfig
+from molfuse.training import CHOICES, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +103,8 @@ class TestConfigFile:
         changed = {}
         for field in dataclasses.fields(RunConfig):
             default = field.default
-            if field.name in FIELD_CHOICES:
-                changed[field.name] = FIELD_CHOICES[field.name][-1]
+            if field.name in CHOICES:
+                changed[field.name] = CHOICES[field.name][-1]
             elif field.name == "ratios":
                 changed[field.name] = (0.7, 0.2, 0.1)
             elif field.name == "seeds":
@@ -162,6 +161,40 @@ class TestConfigFile:
     def test_bad_flag_value_names_its_key(self, capsys):
         assert main(["train", "--max-epochs", "2.5"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: max_epochs = 2.5: ")
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--num-heads", "0"], "num_heads"),
+        (["--num-layers", "-2"], "num_layers"),
+        (["--ffn-dim", "0"], "ffn_dim"),
+        (["--edge-hidden", "0"], "edge_hidden"),
+        (["--mlm-pretrain", "--mlm-epochs", "-1"], "mlm_epochs"),
+        (["--max-len", "0"], "max_len"),
+        (["--workers", "0"], "workers"),
+        (["--hidden-dim", "30"], "hidden_dim"),
+        (["--mlm-rate", "1.5"], "mlm_rate"),
+        (["--margin", "0"], "margin"),
+        (["--alpha", "-0.5"], "alpha"),
+        (["--alpha-graph", "-0.5"], "alpha_graph"),
+    ])
+    def test_out_of_range_flag_names_its_key(self, capsys, flags, key):
+        assert main(["train", *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} = ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key", ["mlm_pretrain", "frozen_mpnn", "cross_graph_negatives"])
+    def test_bool_flag_beats_the_file_both_ways(self, tmp_path, key):
+        flag = key.replace("_", "-")
+        cfg_file = tmp_path / "run.cfg"
+        for text, flags, want in (
+            ("true", [], True),
+            ("true", [f"--no-{flag}"], False),
+            ("false", [f"--{flag}"], True),
+        ):
+            cfg_file.write_text(f"{key} = {text}\n")
+            args = make_parser().parse_args(
+                ["train", "--config", str(cfg_file), *flags])
+            assert getattr(build_run_config(args), key) is want, (text, flags)
 
     def test_string_field_keeps_digits_as_text(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

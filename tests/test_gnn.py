@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from molfuse.autodiff import Tape, backward, constant, fd_gradients, parameter
-from molfuse.gnn import (
-    GnnConfig, GraphBatch, GraphConv, Mpnn, build_gnn, edge_types,
-)
+from molfuse.gnn import GraphBatch, GraphConv, Mpnn, build_gnn, edge_types
 from molfuse.smiles import EDGE_FEATURE_DIM, parse
+from molfuse.training import RunConfig
 
 
 def cfg(**overrides):
-    base = dict(hidden_dim=8, message_steps=2, edge_hidden=6)
+    # one attention head, so that any hidden_dim is a valid RunConfig
+    base = dict(hidden_dim=8, message_steps=2, edge_hidden=6, num_heads=1)
     base.update(overrides)
-    return GnnConfig(**base)
+    return RunConfig(**base)
 
 
 def batch_of(smiles_list):
@@ -341,7 +341,7 @@ class TestGraphConv:
         np.testing.assert_array_equal(out.values[0], out.values[1])
 
     def test_path_graph_hand_evaluation(self):
-        config = GnnConfig(hidden_dim=2, graphconv_layers=1)
+        config = RunConfig(hidden_dim=2, graphconv_layers=1, num_heads=1)
         model = GraphConv(config, np.random.default_rng(0))
         ws = np.zeros((9, 2)); ws[0, 0] = 1.0
         wn = np.zeros((9, 2)); wn[0, 1] = 1.0
@@ -360,7 +360,7 @@ class TestGraphConv:
 
     def test_build_gnn_dispatch(self):
         assert isinstance(
-            build_gnn(cfg(variant="graphconv"), np.random.default_rng(0)), GraphConv
+            build_gnn(cfg(gnn_variant="graphconv"), np.random.default_rng(0)), GraphConv
         )
         assert isinstance(build_gnn(cfg(), np.random.default_rng(0)), Mpnn)
 

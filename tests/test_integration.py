@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from molfuse.autodiff import Tape, backward, constant, fd_gradients
-from molfuse.gnn import GnnConfig, GraphBatch
+from molfuse.gnn import GraphBatch
 from molfuse.integration import (
     FUSION_OPS,
     STRATEGIES,
-    ContrastConfig,
     EncodedMolecule,
     IntegratedModel,
     TripleBatch,
@@ -17,28 +16,21 @@ from molfuse.integration import (
     fuse,
     triplet_loss,
 )
-from molfuse.lm import EncoderConfig
 from molfuse.smiles import Vocabulary, pack_batch, parse, tokenize
+from molfuse.training import RunConfig
 
 from tests.conftest import CURATED_CORPUS
 
 VOCAB = Vocabulary.build([s for s, *_ in CURATED_CORPUS])
 
 
-def tiny_model(strategy, seed=0, fusion="sum", task="regression", **contrast_kw):
-    return IntegratedModel(
-        strategy,
-        vocab_size=len(VOCAB),
-        seed=seed,
-        encoder_config=EncoderConfig(
-            vocab_size=len(VOCAB), hidden_dim=8, num_layers=1, num_heads=2,
-            ffn_dim=12, max_len=64,
-        ),
-        gnn_config=GnnConfig(hidden_dim=8, message_steps=2, edge_hidden=6),
-        fusion=fusion,
-        contrast=ContrastConfig(**contrast_kw) if contrast_kw else None,
-        task_kind=task,
+def tiny_model(strategy, seed=0, fusion="sum", task="regression", **overrides):
+    config = RunConfig(
+        strategy=strategy, fusion=fusion, task=task, hidden_dim=8,
+        num_layers=1, num_heads=2, ffn_dim=12, max_len=64, message_steps=2,
+        edge_hidden=6, **overrides,
     )
+    return IntegratedModel(config, len(VOCAB), seed)
 
 
 def mols_for(smiles_list, labels=None):
@@ -136,9 +128,7 @@ class TestTripletLoss:
         anchors = constant(np.atleast_2d(a))
         positives = constant(np.atleast_2d(np.vstack([p, n])))
         tb = TripleBatch(np.array([0]), np.array([1]))
-        return triplet_loss(
-            tape, anchors, positives, tb, ContrastConfig(margin=margin)
-        ).values
+        return triplet_loss(tape, anchors, positives, tb, margin).values
 
     def test_zero_when_anchor_equals_positive_far_negative(self):
         assert self._loss([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]) == 0.0
@@ -158,7 +148,7 @@ class TestTripletLoss:
             mp = rng.normal(size=(total, d))
             tb = build_triples(lm, mp, offsets, seed=int(rng.integers(1 << 30)))
             got = triplet_loss(
-                Tape(), constant(lm), constant(mp), tb, ContrastConfig()
+                Tape(), constant(lm), constant(mp), tb, 1.0
             ).values
             want = brute_force_triplet_total(tb.materialize(lm, mp), 1.0)
             assert float(got) == float(want)
@@ -173,7 +163,7 @@ class TestTripletLoss:
         assert chunked_triplet_total(mat, 1.0, chunk=1) == flat
         assert chunked_triplet_total(mat, 1.0, chunk=2) == flat
         got = triplet_loss(
-            Tape(), constant(lm), constant(mp), tb, ContrastConfig()
+            Tape(), constant(lm), constant(mp), tb, 1.0
         ).values
         assert float(got) == pytest.approx(flat, rel=1e-12)
 
@@ -185,7 +175,7 @@ class TestTripletLoss:
             tb = build_triples(lm, mp, [0, 8], seed=int(rng.integers(1 << 30)))
             val = float(
                 triplet_loss(
-                    Tape(), constant(lm), constant(mp), tb, ContrastConfig()
+                    Tape(), constant(lm), constant(mp), tb, 1.0
                 ).values
             )
             assert val >= 0.0
@@ -198,7 +188,7 @@ class TestTripletLoss:
         tb = TripleBatch(np.empty(0, np.int64), np.empty(0, np.int64), skipped=1)
         out = triplet_loss(
             Tape(), constant(np.zeros((1, 2))), constant(np.zeros((1, 2))),
-            tb, ContrastConfig(),
+            tb, 1.0,
         )
         assert out.values == 0.0
 
@@ -325,8 +315,7 @@ class TestContrastStrategies:
         assert np.isfinite(loss.values)
 
     def test_frozen_mpnn_blocks_gnn_gradients(self):
-        model = tiny_model("contrast-node", alpha=1.0)
-        model.frozen_mpnn = True
+        model = tiny_model("contrast-node", alpha=1.0, frozen_mpnn=True)
         mols = mols_for(["CCO", "C1CC1"])
         tape = Tape()
         loss, _, _ = model.forward_batch(tape, mols, batch_seed=3)
@@ -508,8 +497,7 @@ class TestLm2Mpnn:
     def test_graphconv_variant_rejected(self):
         with pytest.raises(ValueError, match="mpnn"):
             IntegratedModel(
-                "lm2mpnn", vocab_size=len(VOCAB),
-                gnn_config=GnnConfig(hidden_dim=64, variant="graphconv"),
+                RunConfig(strategy="lm2mpnn", gnn_variant="graphconv"), len(VOCAB)
             )
 
 
@@ -546,14 +534,11 @@ class TestPackedEncoderBatch:
     def test_fewer_than_200_tape_records_per_32_molecule_batch(
         self, strategy, corpus_smiles
     ):
-        model = IntegratedModel(
-            strategy, vocab_size=len(VOCAB),
-            encoder_config=EncoderConfig(
-                vocab_size=len(VOCAB), hidden_dim=8, num_layers=3, num_heads=4,
-                ffn_dim=12, max_len=64,
-            ),
-            gnn_config=GnnConfig(hidden_dim=8, message_steps=3, edge_hidden=6),
+        config = RunConfig(
+            strategy=strategy, hidden_dim=8, num_layers=3, num_heads=4,
+            ffn_dim=12, max_len=64, message_steps=3, edge_hidden=6,
         )
+        model = IntegratedModel(config, len(VOCAB))
         smiles = (corpus_smiles * 2)[:32]
         tape = Tape()
         model.forward_batch(tape, mols_for(smiles), batch_seed=0)

@@ -153,8 +153,9 @@ def test_message_pass_calls_kernels_through_the_module(monkeypatch):
     """Ops look kernels up on the module at call time, so a wrapper installed
     there sees every call: one scatter-add per message step and direction."""
     from molfuse.autodiff import Tape, backward
-    from molfuse.gnn import GnnConfig, GraphBatch, Mpnn
+    from molfuse.gnn import GraphBatch, Mpnn
     from molfuse.smiles import parse
+    from molfuse.training import RunConfig
 
     calls = []
     original = kernels.scatter_add_into
@@ -165,8 +166,8 @@ def test_message_pass_calls_kernels_through_the_module(monkeypatch):
 
     monkeypatch.setattr(kernels, "scatter_add_into", counted)
     steps = 3
-    model = Mpnn(GnnConfig(hidden_dim=6, message_steps=steps, edge_hidden=5),
-                 np.random.default_rng(0))
+    model = Mpnn(RunConfig(hidden_dim=6, message_steps=steps, edge_hidden=5,
+                           num_heads=1), np.random.default_rng(0))
     batch = GraphBatch.from_graphs([parse(s) for s in ("c1ccccc1O", "CC(=O)N")])
     tape = Tape()
     h = model.run(tape, batch)

@@ -3,7 +3,6 @@ import pytest
 
 from molfuse.autodiff import Tape, backward, constant, fd_gradients, parameter
 from molfuse.lm import (
-    EncoderConfig,
     MlmHead,
     PredictionHead,
     SmilesEncoder,
@@ -12,13 +11,15 @@ from molfuse.lm import (
 )
 from molfuse.optim import AdamState
 from molfuse.smiles import TokenSequence, Vocabulary, pack_batch, tokenize
+from molfuse.training import RunConfig
+
+VOCAB_SIZE = 12
 
 
 def small_config(**overrides):
-    base = dict(vocab_size=12, hidden_dim=16, num_layers=2, num_heads=2,
-                ffn_dim=24, max_len=32)
+    base = dict(hidden_dim=16, num_layers=2, num_heads=2, ffn_dim=24, max_len=32)
     base.update(overrides)
-    return EncoderConfig(**base)
+    return RunConfig(**base)
 
 
 def token_sequence(ids):
@@ -31,7 +32,7 @@ def token_sequence(ids):
 
 @pytest.fixture
 def encoder():
-    return SmilesEncoder(small_config(), np.random.default_rng(0))
+    return SmilesEncoder(small_config(), VOCAB_SIZE, np.random.default_rng(0))
 
 
 def zero_block_weights(enc):
@@ -66,7 +67,8 @@ class TestEmbed:
             encoder.embed(Tape(), np.array([99]))
 
     def test_over_max_len(self):
-        enc = SmilesEncoder(small_config(max_len=4), np.random.default_rng(0))
+        enc = SmilesEncoder(small_config(max_len=4), VOCAB_SIZE,
+                            np.random.default_rng(0))
         with pytest.raises(IndexError):
             enc.embed(Tape(), np.zeros(5, dtype=np.int64))
 
@@ -109,7 +111,8 @@ class TestEncode:
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_zero_layers_identity(self):
-        enc = SmilesEncoder(small_config(num_layers=0), np.random.default_rng(1))
+        enc = SmilesEncoder(small_config(num_layers=0), VOCAB_SIZE,
+                            np.random.default_rng(1))
         tape = Tape(grad_enabled=False)
         e_in = enc.embed(tape, np.array([3, 4, 5]))
         out = enc.encode(tape, e_in)
@@ -130,7 +133,7 @@ class TestExtract:
     def test_phenol_row_count(self, encoder):
         vocab = Vocabulary.build(["C1=CC=C(C=C1)O"])
         seq = tokenize("C1=CC=C(C=C1)O", vocab)
-        enc = SmilesEncoder(small_config(vocab_size=len(vocab)),
+        enc = SmilesEncoder(small_config(), len(vocab),
                             np.random.default_rng(0))
         tape = Tape(grad_enabled=False)
         packed = pack_batch([seq, seq])
@@ -194,10 +197,10 @@ class TestPredictionHead:
 class TestMlm:
     def _setup(self, smiles_list, seed=0):
         vocab = Vocabulary.build(smiles_list)
-        cfg = small_config(vocab_size=len(vocab))
+        cfg = small_config()
         rng = np.random.default_rng(seed)
-        enc = SmilesEncoder(cfg, rng)
-        head = MlmHead(cfg.hidden_dim, cfg.vocab_size, rng)
+        enc = SmilesEncoder(cfg, len(vocab), rng)
+        head = MlmHead(cfg.hidden_dim, len(vocab), rng)
         params = enc.parameters() + head.parameters()
         state = AdamState(params, lr=0.01)
         seqs = [tokenize(s, vocab) for s in smiles_list]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,23 +12,28 @@ import numpy as np
 import pytest
 
 from molfuse import training
-from molfuse.autodiff import constant
+from molfuse.autodiff import Tape, backward, constant
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
 from molfuse.integration import IntegratedModel
+from molfuse.optim import AdamState, adam_step, complete_gradients
 from molfuse.smiles import Vocabulary, parse
 from molfuse.synthdata import write_dataset
 from molfuse.training import (
+    FLOORS,
     RunConfig,
     RunReport,
     SeedResult,
     attention_scaling,
+    build_model,
     evaluate,
     logistic,
     profile_strategies,
     run_seeds,
     train_one,
 )
+
+from tests.test_integration import VOCAB, mols_for
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -475,3 +481,114 @@ class TestRunConfig:
         assert (
             RunConfig(task="binary-classification").label_column == "p_np"
         )
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"task": "x"}, "task"),
+        ({"strategy": "lm"}, "strategy"),
+        *[({name: floor - 1}, name) for name, floor in FLOORS.items()],
+        ({"lr": 0.0}, "lr"),
+        ({"margin": 0.0}, "margin"),
+        ({"alpha": -0.1}, "alpha"),
+        ({"alpha_graph": -0.1}, "alpha_graph"),
+        ({"mlm_rate": -0.1}, "mlm_rate"),
+        ({"mlm_rate": 1.1}, "mlm_rate"),
+        ({"hidden_dim": 30}, "hidden_dim"),
+    ])
+    def test_out_of_range_names_its_field(self, overrides, key):
+        with pytest.raises(ValueError, match=f"^{key} = "):
+            RunConfig(**overrides)
+
+    def test_zero_counts_and_weights_are_valid(self):
+        RunConfig(num_layers=0, message_steps=0, graphconv_layers=0,
+                  mlm_epochs=0, mlm_rate=0.0, alpha=0.0, alpha_graph=0.0)
+        RunConfig(mlm_rate=1.0, hidden_dim=1, num_heads=1)
+
+
+# RunConfig fields that build_model does not read
+PROTOCOL_FIELDS = {
+    "dataset", "smiles_column", "label_column", "ratios", "seeds", "lr",
+    "batch_size", "max_epochs", "patience", "mlm_pretrain", "mlm_epochs",
+    "mlm_rate", "workers",
+}
+# (field, a value other than its default, the other fields of both configs)
+STRUCTURE_FIELDS = [
+    ("strategy", "mpnn-baseline", {}),
+    ("hidden_dim", 12, {"strategy": "late-fusion"}),
+    ("num_layers", 2, {}),
+    ("ffn_dim", 16, {}),
+    ("max_len", 48, {}),
+    ("gnn_variant", "graphconv", {"strategy": "mpnn-baseline"}),
+    ("edge_hidden", 5, {"strategy": "mpnn-baseline"}),
+    ("update_kind", "mlp", {"strategy": "mpnn-baseline"}),
+    ("graphconv_layers", 3,
+     {"strategy": "mpnn-baseline", "gnn_variant": "graphconv"}),
+    ("fusion", "concat", {"strategy": "late-fusion"}),
+    ("fusion", "gate", {"strategy": "late-fusion"}),
+]
+LOSS_FIELDS = [
+    ("task", "binary-classification", {}),
+    ("num_heads", 4, {}),
+    ("message_steps", 3, {"strategy": "mpnn-baseline"}),
+    ("margin", 3.0, {"strategy": "contrast-node"}),
+    ("alpha", 0.5, {"strategy": "contrast-node"}),
+    ("alpha_graph", 0.5, {"strategy": "contrast-graph"}),
+    ("cross_graph_negatives", True, {"strategy": "contrast-node"}),
+    ("frozen_mpnn", True, {"strategy": "contrast-node"}),
+]
+
+
+def field_cases(cases):
+    return pytest.mark.parametrize(
+        "key, value, base", cases, ids=[f"{k}={v}" for k, v, _ in cases])
+
+
+class TestModelFields:
+    """Every RunConfig field that build_model reads changes the model it
+    builds: its state_dict's names or shapes, or, with the same weights,
+    its loss on a fixed batch before or after one Adam step."""
+
+    MOLS = mols_for(["CC(=O)O", "C1CC1", "CCO", "c1ccccc1"],
+                    [0.0, 1.0, 1.0, 0.0])
+
+    @staticmethod
+    def pair(key, value, base):
+        config = RunConfig(**{
+            "hidden_dim": 8, "num_layers": 1, "num_heads": 2, "ffn_dim": 12,
+            "max_len": 64, "message_steps": 2, "edge_hidden": 6, **base,
+        })
+        assert getattr(config, key) != value
+        return config, dataclasses.replace(config, **{key: value})
+
+    @staticmethod
+    def shapes(config):
+        model = build_model(config, len(VOCAB), seed=0)
+        return {name: v.shape for name, v in model.state_dict().items()}
+
+    def losses(self, config, state):
+        model = build_model(config, len(VOCAB), seed=0)
+        model.load_state_dict(state)
+        params = model.parameters()
+        tape = Tape()
+        loss, _, _ = model.forward_batch(tape, self.MOLS, batch_seed=1)
+        grads = complete_gradients(params, backward(loss, tape))
+        adam_step(params, grads, AdamState(params, lr=0.01))
+        after, _, _ = model.forward_batch(Tape(), self.MOLS, batch_seed=1)
+        return float(loss.values), float(after.values)
+
+    def test_every_field_is_protocol_or_tested(self):
+        tested = {key for key, _, _ in STRUCTURE_FIELDS + LOSS_FIELDS}
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert tested | PROTOCOL_FIELDS == fields
+        assert not tested & PROTOCOL_FIELDS
+
+    @field_cases(STRUCTURE_FIELDS)
+    def test_field_changes_the_state_dict(self, key, value, base):
+        default, changed = self.pair(key, value, base)
+        assert self.shapes(changed) != self.shapes(default)
+
+    @field_cases(LOSS_FIELDS)
+    def test_field_changes_the_loss(self, key, value, base):
+        default, changed = self.pair(key, value, base)
+        assert self.shapes(changed) == self.shapes(default)
+        state = build_model(default, len(VOCAB), seed=0).state_dict()
+        assert self.losses(changed, state) != self.losses(default, state)
