@@ -34,7 +34,6 @@ from . import kernels
 
 _node_ids = itertools.count()
 
-_LOG_EPS = 1e-12
 _NORM_EPS = 1e-12
 _LN_EPS = 1e-5
 
@@ -52,7 +51,8 @@ class Tensor:
     """Value node of the computation graph.
 
     ``values`` is a float64 ndarray (row-major), ``grad`` stays None until
-    :func:`backward` fills it, and ``node_id`` is unique per tensor.
+    :func:`backward` fills it (``adam_step`` clears it again), and
+    ``node_id`` is unique per tensor.
     ``checked`` caches the finiteness check so each buffer is scanned once;
     code that mutates ``values`` in place (the optimizer) resets it.
     """
@@ -652,6 +652,7 @@ def _op_typed_edge_message(inputs, kw):
             grad_a = np.zeros((num_types, w * w), dtype=np.float64)
             for k, (lo, hi) in enumerate(spans):
                 grad_a[k] = (g_dst[lo:hi].T @ h_src[lo:hi]).reshape(-1)
+            del h_src  # so ``back`` below can take its place in the heap
             acc(ia, grad_a)
         if ih is not None:
             mats = ka.values.reshape(num_types, w, w)
@@ -783,10 +784,11 @@ class GradCheckReport:
         return [e for e in self.entries if e.max_rel_error >= self.tolerance]
 
 
-def relative_error(analytic, numeric, floor=1e-3):
-    """|a - n| / max(|a|, |n|, floor); the floor keeps near-zero grads sane."""
-    denom = max(abs(analytic), abs(numeric), floor)
-    return abs(analytic - numeric) / denom
+def max_relative_error(analytic, numeric, floor=1e-3):
+    """Largest |a - n| / max(|a|, |n|, floor) over two same-shape arrays
+    (0 for empty ones); the floor keeps near-zero grads sane."""
+    denom = np.maximum(np.abs(analytic), np.maximum(np.abs(numeric), floor))
+    return float((np.abs(analytic - numeric) / denom).max(initial=0.0))
 
 
 def fd_gradients(fn, tensors, h=1e-5):
@@ -834,12 +836,10 @@ def check_op_gradient(kind, tensors, kwargs=None, h=1e-5, rng=None):
     loss, tape = run()
     grads = backward(loss, tape)
     numeric = fd_gradients(lambda: run()[0].values, tensors, h=h)
-    worst = 0.0
-    for t, num in zip(tensors, numeric):
-        ana = grads[t.node_id]
-        for a, n in zip(np.ravel(ana), np.ravel(num)):
-            worst = max(worst, relative_error(a, n))
-    return worst
+    return max(
+        max_relative_error(grads[t.node_id], num)
+        for t, num in zip(tensors, numeric)
+    )
 
 
 def _trial_inputs(kind, shape, rng, trial=0):

@@ -13,9 +13,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from .autodiff import Tape, backward, check_gradients, fd_gradients
+from .autodiff import Tape, backward, check_gradients, fd_gradients, max_relative_error
 from .data import TaskKind, parse_ratio_string
 from .integration import STRATEGIES, EncodedMolecule
 from .smiles import SmilesError, Vocabulary, parse, tokenize, tokenize_raw
@@ -235,15 +233,11 @@ def cmd_ablate(args):
 
 def cmd_gradcheck(args):
     report = check_gradients(trials=args.trials, tolerance=args.tolerance)
-    worst = {}
-    for entry in report.entries:
-        worst[entry.kind] = max(worst.get(entry.kind, 0.0), entry.max_rel_error)
-    failed = False
-    for kind in sorted(worst):
-        status = "ok" if worst[kind] < args.tolerance else "FAIL"
-        if status == "FAIL":
-            failed = True
-        print(f"{kind:<34} max rel error {worst[kind]:.3e}  {status}")
+    failed = not report.passed
+    for kind in sorted({entry.kind for entry in report.entries}):
+        err = report.max_error(kind)
+        status = "ok" if err < args.tolerance else "FAIL"
+        print(f"{kind:<34} max rel error {err:.3e}  {status}")
 
     if not args.ops_only:
         errors = strategy_gradient_errors(tolerance=args.tolerance)
@@ -281,12 +275,10 @@ def strategy_gradient_errors(tolerance=1e-4, seed=0):
         loss, tape = run()
         grads = backward(loss, tape)
         numeric = fd_gradients(lambda: run()[0].values, params)
-        worst = 0.0
-        for p, num in zip(params, numeric):
-            ana = grads[p.node_id]
-            denom = np.maximum(np.abs(ana), np.maximum(np.abs(num), 1e-3))
-            worst = max(worst, float((np.abs(ana - num) / denom).max()))
-        errors[strategy] = worst
+        errors[strategy] = max(
+            max_relative_error(grads[p.node_id], num)
+            for p, num in zip(params, numeric)
+        )
     return errors
 
 

@@ -40,10 +40,6 @@ class GraphBatch:
     def num_nodes(self):
         return self.node_features.shape[0]
 
-    @property
-    def num_graphs(self):
-        return len(self.offsets) - 1
-
     @classmethod
     def from_graphs(cls, graphs):
         if not graphs:

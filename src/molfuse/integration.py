@@ -4,11 +4,14 @@ Seven wirings are selectable: the two single-model baselines, node- and
 graph-level contrastive supervision of the token encoder, late fusion of
 the two graph embeddings, and the two joint fusions (message-passer
 states injected into the encoder input, or encoder token outputs injected
-into every message-passing step). Contrastive negatives come from seeded
-within-graph derangements by default; cross-graph sampling sits behind a
-flag. ``IntegratedModel`` takes one :class:`molfuse.training.RunConfig`
-and hands it to both components, so they share one ``hidden_dim``; the
-strategy, fusion op, task and contrast weights come from the same object.
+into every message-passing step). Both contrast levels draw negatives
+through :func:`build_triples`: node-level negatives come from seeded
+within-graph derangements by default (cross-graph sampling sits behind a
+flag), and graph-level negatives are one derangement of the batch, each
+graph counted as one node. ``IntegratedModel`` takes one
+:class:`molfuse.training.RunConfig` and hands it to both components, so
+they share one ``hidden_dim``; the strategy, fusion op, task and contrast
+weights come from the same object.
 """
 
 from dataclasses import dataclass
@@ -254,10 +257,6 @@ class IntegratedModel:
         )
         return tape.apply(kind, preds, target)
 
-    def _contrast_total(self, tape, pred_loss, trip_loss, weight):
-        scaled = tape.apply("multiply", constant(weight), trip_loss)
-        return tape.apply("add", pred_loss, scaled)
-
     # -- strategy forwards --------------------------------------------------
 
     def _forward_mpnn2lm(self, tape, mols, gb, mpnn_states):
@@ -268,11 +267,14 @@ class IntegratedModel:
             "scatter-add-rows", mpnn_states, indices=packed.atom_rows,
             num_rows=len(packed.token_ids),
         )
-        e_in = self.encoder.embed(tape, packed.token_ids, packed.positions)
-        fused = fuse(tape, e_in, injected, self.config.fusion, self.gate_params)
-        if self.config.fusion == "concat":
-            fused = tape.apply("matmul", fused, self.mpnn2lm_proj)
-        e_out = self.encoder.encode(tape, fused, packed.offsets)
+
+        def inject(t, e_in):
+            fused = fuse(t, e_in, injected, self.config.fusion, self.gate_params)
+            if self.mpnn2lm_proj is not None:
+                fused = t.apply("matmul", fused, self.mpnn2lm_proj)
+            return fused
+
+        e_out = self.encoder.forward(tape, packed, fuse_fn=inject)
         pooled = tape.apply("segment-mean", e_out, offsets=packed.offsets)
         return self.head.forward(tape, pooled)
 
@@ -289,81 +291,59 @@ class IntegratedModel:
 
         Regression predictions are raw head outputs; classification
         predictions are logits (consumers apply the logistic function).
+        ``predict_only`` builds no loss and returns None in its place. Both
+        contrast levels then add one weighted triplet term (module docstring).
         """
         config = self.config
         strategy = config.strategy
         labels = np.asarray([m.label for m in mols], dtype=np.float64)
         gb = GraphBatch.from_graphs([m.graph for m in mols]) \
-            if strategy != "lm-baseline" else None
-        info = {"skipped_triples": 0, "contrast_skipped": 0}
-
-        if strategy == "lm-baseline":
-            cls_rows, _ = self._lm_outputs(tape, mols, want_nodes=False)
-            preds = self.head.forward(tape, cls_rows)
-            return self._prediction_loss(tape, preds, labels), preds, info
+            if self.gnn is not None else None
+        info = {"skipped_triples": 0}
 
         if strategy == "mpnn-baseline":
             pooled, _ = self._mpnn_readout(tape, gb)
             preds = self.head.forward(tape, pooled)
-            return self._prediction_loss(tape, preds, labels), preds, info
+        elif strategy == "mpnn2lm":
+            preds = self._forward_mpnn2lm(tape, mols, gb, self.gnn.run(tape, gb))
+        else:
+            cls_rows, lm_nodes = self._lm_outputs(
+                tape, mols, want_nodes=strategy in ("contrast-node", "lm2mpnn")
+            )
+            if strategy == "contrast-node":
+                per_graph = tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
+                preds = self.head.forward(tape, per_graph)
+            elif strategy == "late-fusion":
+                pooled, _ = self._mpnn_readout(tape, gb)
+                fused = fuse(tape, cls_rows, pooled, config.fusion, self.gate_params)
+                preds = self.head.forward(tape, fused)
+            elif strategy == "lm2mpnn":
+                preds = self._forward_lm2mpnn(tape, gb, lm_nodes)
+            else:  # lm-baseline, contrast-graph
+                preds = self.head.forward(tape, cls_rows)
+        if predict_only:
+            return None, preds, info
 
+        loss = self._prediction_loss(tape, preds, labels)
         if strategy == "contrast-node":
-            _, lm_nodes = self._lm_outputs(tape, mols, want_nodes=True)
-            per_graph = tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
-            preds = self.head.forward(tape, per_graph)
-            if predict_only:
-                return None, preds, info
-            pred_loss = self._prediction_loss(tape, preds, labels)
-            mpnn_states = self.gnn.run(tape, gb)
-            if config.frozen_mpnn:
-                mpnn_states = tape.detach(mpnn_states)
-            triples = build_triples(
-                lm_nodes, mpnn_states, gb.offsets, batch_seed,
-                cross_graph=config.cross_graph_negatives,
-            )
-            info["skipped_triples"] = triples.skipped
-            trip = triplet_loss(tape, lm_nodes, mpnn_states, triples, config.margin)
-            total = self._contrast_total(tape, pred_loss, trip, config.alpha)
-            return total, preds, info
-
-        if strategy == "contrast-graph":
-            cls_rows, _ = self._lm_outputs(tape, mols, want_nodes=False)
-            preds = self.head.forward(tape, cls_rows)
-            if predict_only:
-                return None, preds, info
-            pred_loss = self._prediction_loss(tape, preds, labels)
-            pooled, _ = self._mpnn_readout(tape, gb)
-            if config.frozen_mpnn:
-                pooled = tape.detach(pooled)
-            if len(mols) < 2:
-                info["contrast_skipped"] = 1
-                return pred_loss, preds, info
-            perm = derangement(len(mols), np.random.default_rng(batch_seed))
-            triples = TripleBatch(
-                np.arange(len(mols), dtype=np.int64), perm.astype(np.int64)
-            )
-            trip = triplet_loss(tape, cls_rows, pooled, triples, config.margin)
-            total = self._contrast_total(
-                tape, pred_loss, trip, config.alpha_graph
-            )
-            return total, preds, info
-
-        if strategy == "late-fusion":
-            cls_rows, _ = self._lm_outputs(tape, mols, want_nodes=False)
-            pooled, _ = self._mpnn_readout(tape, gb)
-            fused = fuse(tape, cls_rows, pooled, config.fusion, self.gate_params)
-            preds = self.head.forward(tape, fused)
-            return self._prediction_loss(tape, preds, labels), preds, info
-
-        if strategy == "mpnn2lm":
-            mpnn_states = self.gnn.run(tape, gb)
-            preds = self._forward_mpnn2lm(tape, mols, gb, mpnn_states)
-            return self._prediction_loss(tape, preds, labels), preds, info
-
-        # lm2mpnn
-        _, lm_node_rows = self._lm_outputs(tape, mols, want_nodes=True)
-        preds = self._forward_lm2mpnn(tape, gb, lm_node_rows)
-        return self._prediction_loss(tape, preds, labels), preds, info
+            anchors, positives = lm_nodes, self.gnn.run(tape, gb)
+            offsets, cross_graph = gb.offsets, config.cross_graph_negatives
+            weight = config.alpha
+        elif strategy == "contrast-graph":
+            anchors, (positives, _) = cls_rows, self._mpnn_readout(tape, gb)
+            offsets, cross_graph = np.arange(len(mols) + 1), True
+            weight = config.alpha_graph
+        else:
+            return loss, preds, info
+        if config.frozen_mpnn:
+            positives = tape.detach(positives)
+        triples = build_triples(
+            anchors, positives, offsets, batch_seed, cross_graph=cross_graph
+        )
+        info["skipped_triples"] = triples.skipped
+        trip = triplet_loss(tape, anchors, positives, triples, config.margin)
+        scaled = tape.apply("multiply", constant(weight), trip)
+        return tape.apply("add", loss, scaled), preds, info
 
     def predict(self, mols):
         """Raw predictions under a non-recording tape."""

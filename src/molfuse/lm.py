@@ -3,6 +3,10 @@
 Produces the three outputs the integration strategies consume: per-atom
 node embeddings (rows of the final hidden state at atom token positions),
 a sequence-level embedding (the CLS row), and a property prediction.
+Node-level contrast anchors on the atom rows, graph-level contrast on the
+CLS rows (its negatives are one batch derangement from
+:func:`molfuse.integration.build_triples`). ``SmilesEncoder.forward`` is
+the one entry point of all seven strategies and of the MLM stage.
 Blocks are post-layer-norm: x = LN(x + attention(x)); x = LN(x + ffn(x)).
 A batch runs as one packed matrix of all its token rows; attention is
 computed per sequence, so no row sees another sequence and none is padded.
@@ -120,10 +124,14 @@ class SmilesEncoder:
             )
         return x
 
-    def forward(self, tape, packed, collect_attention=None):
-        """Final hidden state of a :class:`~molfuse.smiles.PackedBatch`."""
-        e_in = self.embed(tape, packed.token_ids, packed.positions)
-        return self.encode(tape, e_in, packed.offsets, collect_attention)
+    def forward(self, tape, packed, fuse_fn=None, collect_attention=None):
+        """Final hidden state of a :class:`~molfuse.smiles.PackedBatch`;
+        ``fuse_fn(tape, e_in)``, if given, maps the embedded rows to the
+        blocks' input (how another model's rows are injected)."""
+        x = self.embed(tape, packed.token_ids, packed.positions)
+        if fuse_fn is not None:
+            x = fuse_fn(tape, x)
+        return self.encode(tape, x, packed.offsets, collect_attention)
 
     def extract(self, tape, e_out, offsets, atom_rows):
         """(node embeddings, CLS embeddings) from the final hidden state.
@@ -203,12 +211,10 @@ def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate, seed=0):
         packed.offsets[i] + np.asarray(picks, dtype=np.int64)
         for i, (_, picks) in enumerate(masked)
     ])
-    ids = packed.token_ids.copy()
-    targets = ids[rows]
-    ids[rows] = Vocabulary.MASK
+    targets = packed.token_ids[rows]
+    packed.token_ids[rows] = Vocabulary.MASK
     tape = Tape()
-    e_in = encoder.embed(tape, ids, packed.positions)
-    e_out = encoder.encode(tape, e_in, packed.offsets)
+    e_out = encoder.forward(tape, packed)
     picked = tape.apply("gather-rows", e_out, indices=rows)
     logits = tape.apply("matmul", picked, head.w, head.b)
     loss = tape.apply("cross-entropy-with-logits", logits, target_ids=targets)

@@ -34,7 +34,9 @@ def adam_step(params, grads, state):
     """One in-place Adam update; t increments exactly once per call.
 
     ``grads`` maps node_id -> gradient array (the output of backward()).
-    Every parameter must have an entry of matching shape.
+    Every parameter must have an entry of matching shape. Each parameter's
+    ``grad`` slot is cleared once applied, so a step's gradients are freed
+    with the step instead of living through the next step's forward.
     """
     for p in params:
         if p.node_id not in grads:
@@ -71,5 +73,6 @@ def adam_step(params, grads, state):
         np.multiply(state.lr, step, out=step)
         step /= denom
         p.values -= step
+        p.grad = None
         p.checked = False  # values changed; revalidate on next use
     return params, state

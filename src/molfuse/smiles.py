@@ -79,7 +79,6 @@ class MolecularGraph:
 class TokenSequence:
     token_ids: list
     atom_token_positions: list
-    raw_tokens: list
     unknown_tokens: int = 0
 
     def __len__(self):
@@ -97,13 +96,9 @@ class Vocabulary:
         for t in tokens:
             if t not in self.token_to_id:
                 self.token_to_id[t] = len(self.token_to_id)
-        self.id_to_token = {i: t for t, i in self.token_to_id.items()}
 
     def __len__(self):
         return len(self.token_to_id)
-
-    def __contains__(self, token):
-        return token in self.token_to_id
 
     def id_of(self, token):
         return self.token_to_id.get(token, self.UNK)
@@ -236,7 +231,6 @@ def tokenize(smiles, vocab):
     """
     raw = tokenize_raw(smiles)
     token_ids = [Vocabulary.CLS]
-    raw_tokens = ["<cls>"]
     positions = []
     unk = 0
     for tok, is_atom in raw:
@@ -245,13 +239,11 @@ def tokenize(smiles, vocab):
         if tid == Vocabulary.UNK:
             unk += 1
         token_ids.append(tid)
-        raw_tokens.append(tok)
         if is_atom:
             positions.append(pos)
     return TokenSequence(
         token_ids=token_ids,
         atom_token_positions=positions,
-        raw_tokens=raw_tokens,
         unknown_tokens=unk,
     )
 
@@ -440,11 +432,6 @@ def featurize(graph):
     graph.node_features = node
     graph.edge_features = edge
     return node, edge
-
-
-def detokenize(sequence):
-    """Inverse of tokenize for round-trip checks (drops the CLS marker)."""
-    return "".join(sequence.raw_tokens[1:])
 
 
 @dataclass

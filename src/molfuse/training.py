@@ -121,6 +121,9 @@ class RunConfig:
         check("alpha", self.alpha >= 0, "must be >= 0")
         check("alpha_graph", self.alpha_graph >= 0, "must be >= 0")
         check("mlm_rate", 0 <= self.mlm_rate <= 1, "must be in [0, 1]")
+        check("graphconv_layers",
+              self.gnn_variant != "graphconv" or self.graphconv_layers >= 1,
+              "must be >= 1 for the graphconv variant")
         check("hidden_dim", self.hidden_dim % self.num_heads == 0,
               f"not divisible by num_heads = {self.num_heads}")
         if not self.label_column:
@@ -356,8 +359,8 @@ def train_epoch(model, params, state, mols, batch_size, seed, epoch):
         loss, _, _ = model.forward_batch(tape, batch, batch_seed=_mix(seed, epoch, b))
         if not np.isfinite(loss.values):
             return False
-        grads = backward(loss, tape)
-        adam_step(params, complete_gradients(params, grads), state)
+        # no name holds the gradients, so they are freed before the next batch
+        adam_step(params, complete_gradients(params, backward(loss, tape)), state)
     return True
 
 
@@ -389,23 +392,23 @@ def train_one(config, seed, out_dir=None, load_result=None):
     data = load_result or load_csv(
         config.dataset, config.smiles_column, config.label_column, task
     )
-    train_recs, valid_recs, test_recs = split(
-        data.records, SplitSpec(config.ratios, seed)
-    )
+    splits = split(data.records, SplitSpec(config.ratios, seed))
+    train_recs, _, test_recs = splits
     result.naive_metric = naive_baseline(train_recs, test_recs, task)
     vocab = Vocabulary.build(r.smiles for r in train_recs)
-    train_mols, dropped_a, unk_a = prepare_molecules(
-        train_recs, vocab, config.max_len
-    )
-    valid_mols, dropped_b, unk_b = prepare_molecules(
-        valid_recs, vocab, config.max_len
-    )
-    test_mols, dropped_c, unk_c = prepare_molecules(test_recs, vocab, config.max_len)
+    prepared = []
+    for name, recs in zip(("train", "valid", "test"), splits):
+        mols, dropped, unknown = prepare_molecules(recs, vocab, config.max_len)
+        if recs and not mols:
+            raise ValueError(f"max_len = {config.max_len}: drops all "
+                             f"{len(recs)} molecules of the {name} split")
+        prepared.append((mols, dropped, unknown))
+    (train_mols, _, _), (valid_mols, _, _), (test_mols, _, _) = prepared
     result.counters = {
         "quarantined": len(data.quarantined),
         "parse_warnings": data.warnings,
-        "dropped_too_long": dropped_a + dropped_b + dropped_c,
-        "unknown_tokens": unk_a + unk_b + unk_c,
+        "dropped_too_long": sum(dropped for _, dropped, _ in prepared),
+        "unknown_tokens": sum(unknown for _, _, unknown in prepared),
         "vocab_size": len(vocab),
     }
 

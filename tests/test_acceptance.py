@@ -265,7 +265,7 @@ def test_c5_structural_invariances():
     def sequence(ids):
         return TokenSequence(
             token_ids=ids,
-            atom_token_positions=list(range(1, len(ids))), raw_tokens=[],
+            atom_token_positions=list(range(1, len(ids))),
         )
 
     target = sequence([0, 5, 6, 7, 8, 9])

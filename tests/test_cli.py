@@ -175,6 +175,8 @@ class TestConfigFile:
         (["--margin", "0"], "margin"),
         (["--alpha", "-0.5"], "alpha"),
         (["--alpha-graph", "-0.5"], "alpha_graph"),
+        (["--gnn-variant", "graphconv", "--graphconv-layers", "0"],
+         "graphconv_layers"),
     ])
     def test_out_of_range_flag_names_its_key(self, capsys, flags, key):
         assert main(["train", *flags]) == EXIT_USAGE
@@ -265,6 +267,19 @@ class TestTrainCommand:
              "--out", str(tmp_path / "cc")] + TINY_FLAGS
         )
         assert code == EXIT_OK
+
+    def test_max_len_that_empties_a_split_names_the_field(
+            self, tiny_csv, tmp_path, capsys):
+        # every sequence is CLS plus at least one atom token
+        code = main(
+            ["train", "--strategy", "lm-baseline", "--dataset", tiny_csv,
+             "--seeds", "0", "--out", str(tmp_path / "out")]
+            + TINY_FLAGS + ["--max-len", "1"]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_len = 1: drops all ")
+        assert "molecules of the train split" in err and "Traceback" not in err
 
     def test_missing_dataset_usage_error(self, tmp_path, capsys):
         code = main(

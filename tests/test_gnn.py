@@ -43,7 +43,7 @@ class TestGraphBatch:
     def test_offsets(self):
         b = batch_of(["CCO", "C", "C1CC1"])
         assert b.offsets.tolist() == [0, 3, 4, 7]
-        assert b.num_nodes == 7 and b.num_graphs == 3
+        assert b.num_nodes == 7
 
 
 def per_edge_messages(a_flat, h, src, dst):

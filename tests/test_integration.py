@@ -311,8 +311,31 @@ class TestContrastStrategies:
         model = tiny_model("contrast-graph")
         mols = mols_for(["CCO"])
         loss, _, info = model.forward_batch(Tape(), mols, batch_seed=0)
-        assert info["contrast_skipped"] == 1
+        assert info["skipped_triples"] == 1
         assert np.isfinite(loss.values)
+
+    @pytest.mark.parametrize("batch_seed", [0, 1, 7, 12345])
+    def test_graph_negatives_are_the_batch_derangement(self, monkeypatch, batch_seed):
+        # the triples drawn equal a derangement of the batch from the
+        # batch seed's own generator, as drawn before both levels shared
+        # build_triples
+        from molfuse import integration
+
+        drawn = []
+
+        def spy(*args, **kwargs):
+            drawn.append(build_triples(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(integration, "build_triples", spy)
+        model = tiny_model("contrast-graph")
+        mols = mols_for(["CCO", "C1CC1", "CC(=O)O", "C#N", "CN"])
+        model.forward_batch(Tape(), mols, batch_seed=batch_seed)
+        (triples,) = drawn
+        want = derangement(len(mols), np.random.default_rng(batch_seed))
+        np.testing.assert_array_equal(triples.anchor_idx, np.arange(len(mols)))
+        np.testing.assert_array_equal(triples.neg_idx, want)
+        assert triples.skipped == 0
 
     def test_frozen_mpnn_blocks_gnn_gradients(self):
         model = tiny_model("contrast-node", alpha=1.0, frozen_mpnn=True)
@@ -322,6 +345,22 @@ class TestContrastStrategies:
         grads = backward(loss, tape)
         gnn_grads = [grads.get(p.node_id) for p in model.gnn.parameters()]
         assert all(g is None or not g.any() for g in gnn_grads)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_predict_only_builds_no_loss(strategy, monkeypatch):
+    model = tiny_model(strategy)
+    mols = mols_for(["CCO", "C1CC1", "CC(=O)O"], [0.3, -0.8, 1.1])
+    loss, preds, _ = model.forward_batch(Tape(), mols, batch_seed=4)
+    assert loss is not None
+
+    def no_loss(*args):
+        raise AssertionError("predict_only built a loss")
+
+    monkeypatch.setattr(model, "_prediction_loss", no_loss)
+    none, only, _ = model.forward_batch(Tape(), mols, batch_seed=4, predict_only=True)
+    assert none is None
+    np.testing.assert_array_equal(only.values, preds.values)
 
 
 class TestLateFusion:

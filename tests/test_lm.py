@@ -26,7 +26,7 @@ def token_sequence(ids):
     """TokenSequence over raw ids whose non-CLS tokens all count as atoms."""
     return TokenSequence(
         token_ids=list(ids),
-        atom_token_positions=list(range(1, len(ids))), raw_tokens=[],
+        atom_token_positions=list(range(1, len(ids))),
     )
 
 

@@ -33,6 +33,15 @@ def test_constant_gradient_monotone_decrease():
     assert state.t == 2
 
 
+def test_step_clears_grad_slots():
+    # the applied gradients must not outlive the step through p.grad
+    ps = [parameter(np.ones(2)) for _ in range(2)]
+    for p in ps:
+        p.grad = np.ones(2)
+    adam_step(ps, {p.node_id: p.grad for p in ps}, AdamState(ps))
+    assert all(p.grad is None for p in ps)
+
+
 def test_complete_gradients_allocates_only_missing_entries(monkeypatch):
     used, unused = parameter(np.ones((2, 3))), parameter(np.ones(4))
     present = np.full((2, 3), 0.5)

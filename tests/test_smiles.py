@@ -4,7 +4,6 @@ import pytest
 from molfuse.smiles import (
     SmilesError,
     Vocabulary,
-    detokenize,
     pack_batch,
     parse,
     tokenize,
@@ -22,19 +21,23 @@ def vocab():
 class TestTokenize:
     def test_cco(self, vocab):
         seq = tokenize("CCO", vocab)
-        assert seq.raw_tokens == ["<cls>", "C", "C", "O"]
+        assert seq.token_ids == [Vocabulary.CLS] + [
+            vocab.id_of(t) for t in ("C", "C", "O")
+        ]
         assert seq.atom_token_positions == [1, 2, 3]
         assert seq.token_ids[0] == Vocabulary.CLS
 
     def test_phenol_tokens(self, vocab):
         seq = tokenize("C1=CC=C(C=C1)O", vocab)
         expected = ["C", "1", "=", "C", "C", "=", "C", "(", "C", "=", "C", "1", ")", "O"]
-        assert seq.raw_tokens[1:] == expected
+        assert [t for t, _ in tokenize_raw("C1=CC=C(C=C1)O")] == expected
+        assert seq.token_ids[1:] == [vocab.id_of(t) for t in expected]
         assert len(seq.atom_token_positions) == 7
 
     def test_bracket_atom_single_token(self, vocab):
         seq = tokenize("[NH4+]", vocab)
-        assert seq.raw_tokens[1:] == ["[NH4+]"]
+        assert seq.token_ids[1:] == [vocab.id_of("[NH4+]")]
+        assert seq.unknown_tokens == 0
         assert seq.atom_token_positions == [1]
 
     def test_two_letter_elements(self, vocab):
@@ -169,7 +172,7 @@ class TestAlignment:
         for s in corpus_smiles:
             if "/" in s or "\\" in s:
                 continue
-            assert detokenize(tokenize(s, vocab)) == s
+            assert "".join(t for t, _ in tokenize_raw(s)) == s
 
 
 class TestPackBatch:

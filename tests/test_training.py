@@ -493,6 +493,7 @@ class TestRunConfig:
         ({"mlm_rate": -0.1}, "mlm_rate"),
         ({"mlm_rate": 1.1}, "mlm_rate"),
         ({"hidden_dim": 30}, "hidden_dim"),
+        ({"gnn_variant": "graphconv", "graphconv_layers": 0}, "graphconv_layers"),
     ])
     def test_out_of_range_names_its_field(self, overrides, key):
         with pytest.raises(ValueError, match=f"^{key} = "):

@@ -9,7 +9,9 @@ CSV for seed 3, takes each strategy's ``RunConfig`` from
 to 2, trains one seed with ``training.train_one`` and prints
 one line per strategy: the workload, the strategy, the test metric and
 the SHA-256 of the trained ``state_dict`` (parameter names and float64
-bytes, in name order). ``--root`` picks the source checkout whose
+bytes, in name order). ``lm-baseline`` and ``contrast-graph``, which no
+workload trains, run on ``small-graph-integration``'s inputs and config,
+so all seven wirings are covered. ``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
 script), so two checkouts compare with one ``diff`` of the outputs.
 """
@@ -24,6 +26,8 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 3
 EPOCHS = 2
+# strategies no workload trains, hashed on one workload's inputs and config
+EXTRA = {"small-graph-integration": ("lm-baseline", "contrast-graph")}
 
 
 def state_hash(state):
@@ -52,7 +56,10 @@ def main(argv=None):
             csv_path = os.path.join(work, f"{name}.csv")
             write_inputs(workload, SEED, csv_path)
             seed = data_seed(SEED)
-            for config in run_configs(workload, csv_path, seed):
+            configs = run_configs(workload, csv_path, seed)
+            configs += [dataclasses.replace(configs[0], strategy=strategy)
+                        for strategy in EXTRA.get(name, ())]
+            for config in configs:
                 config = dataclasses.replace(
                     config, max_epochs=EPOCHS, patience=EPOCHS)
                 model, result = train_one(config, seed)
