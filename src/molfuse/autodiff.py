@@ -50,18 +50,16 @@ class ShapeError(ValueError):
 class Tensor:
     """Value node of the computation graph.
 
-    ``values`` is a float64 ndarray (row-major), ``grad`` stays None until
-    :func:`backward` fills it (``adam_step`` clears it again), and
-    ``node_id`` is unique per tensor.
+    ``values`` is a float64 ndarray (row-major) and ``node_id`` is unique
+    per tensor; gradients live only in the dict :func:`backward` returns.
     ``checked`` caches the finiteness check so each buffer is scanned once;
     code that mutates ``values`` in place (the optimizer) resets it.
     """
 
-    __slots__ = ("values", "grad", "node_id", "requires_grad", "name", "checked")
+    __slots__ = ("values", "node_id", "requires_grad", "name", "checked")
 
     def __init__(self, values, requires_grad=False, name=None):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = None
         self.node_id = next(_node_ids)
         self.requires_grad = requires_grad
         self.name = name
@@ -130,10 +128,6 @@ class Tape:
             produced.add(out.node_id)
         return out
 
-    def detach(self, tensor):
-        """Constant copy of a tensor's values (blocks gradient flow)."""
-        return Tensor(tensor.values.copy(), requires_grad=False)
-
 
 def backward(loss, tape):
     """Gradient of a scalar loss w.r.t. every leaf of the tape.
@@ -142,9 +136,8 @@ def backward(loss, tape):
     intermediate gradient is dropped once its record has used it, so the
     buffers the forward saved are freed during the walk. Returns a dict
     keyed by the node_id of each leaf in ``tape.watched``; leaves that do
-    not feed the loss get exactly-zero gradients. Each leaf's ``grad``
-    slot is set to its entry (overwritten, not accumulated across calls);
-    intermediate tensors get no gradient.
+    not feed the loss get exactly-zero gradients. Intermediate tensors get
+    no gradient.
     """
     if loss.values.shape != ():
         raise ValueError(
@@ -181,10 +174,7 @@ def backward(loss, tape):
     result = {}
     for node_id, tensor in tape.watched.items():
         grad = grads.get(node_id)
-        if grad is None:
-            grad = np.zeros_like(tensor.values)
-        result[node_id] = grad
-        tensor.grad = grad
+        result[node_id] = np.zeros_like(tensor.values) if grad is None else grad
     return result
 
 
@@ -818,6 +808,19 @@ def _scalarize(tape, out, projection):
     return flat
 
 
+def gradient_error(run, leaves, h=1e-5):
+    """Max relative error of the taped gradients of ``leaves`` vs central
+    finite differences; ``run()`` records a fresh forward and returns
+    ``(scalar loss, tape)``."""
+    loss, tape = run()
+    grads = backward(loss, tape)
+    numeric = fd_gradients(lambda: run()[0].values, leaves, h=h)
+    return max(
+        max_relative_error(grads[t.node_id], num)
+        for t, num in zip(leaves, numeric)
+    )
+
+
 def check_op_gradient(kind, tensors, kwargs=None, h=1e-5, rng=None):
     """Max relative error of one op's analytic gradient vs central FD."""
     kwargs = kwargs or {}
@@ -833,13 +836,7 @@ def check_op_gradient(kind, tensors, kwargs=None, h=1e-5, rng=None):
         out = tape.apply(kind, *tensors, **kwargs)
         return _scalarize(tape, out, projection), tape
 
-    loss, tape = run()
-    grads = backward(loss, tape)
-    numeric = fd_gradients(lambda: run()[0].values, tensors, h=h)
-    return max(
-        max_relative_error(grads[t.node_id], num)
-        for t, num in zip(tensors, numeric)
-    )
+    return gradient_error(run, tensors, h=h)
 
 
 def _trial_inputs(kind, shape, rng, trial=0):

@@ -83,9 +83,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
-            raise ValueError(f"ratios must be three positives, got {self.ratios}")
+            raise ValueError(f"ratios = {self.ratios}: must be three positives")
         if abs(sum(self.ratios) - 1.0) > RATIO_TOLERANCE:
-            raise ValueError(f"ratios must sum to 1.0, got {self.ratios}")
+            raise ValueError(f"ratios = {self.ratios}: must sum to 1.0")
 
 
 def parse_ratio_string(text):

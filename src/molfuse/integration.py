@@ -325,18 +325,18 @@ class IntegratedModel:
             return None, preds, info
 
         loss = self._prediction_loss(tape, preds, labels)
+        # a frozen message passer records nothing: its outputs are constants
+        gnn_tape = Tape(grad_enabled=False) if config.frozen_mpnn else tape
         if strategy == "contrast-node":
-            anchors, positives = lm_nodes, self.gnn.run(tape, gb)
+            anchors, positives = lm_nodes, self.gnn.run(gnn_tape, gb)
             offsets, cross_graph = gb.offsets, config.cross_graph_negatives
             weight = config.alpha
         elif strategy == "contrast-graph":
-            anchors, (positives, _) = cls_rows, self._mpnn_readout(tape, gb)
+            anchors, (positives, _) = cls_rows, self._mpnn_readout(gnn_tape, gb)
             offsets, cross_graph = np.arange(len(mols) + 1), True
             weight = config.alpha_graph
         else:
             return loss, preds, info
-        if config.frozen_mpnn:
-            positives = tape.detach(positives)
         triples = build_triples(
             anchors, positives, offsets, batch_seed, cross_graph=cross_graph
         )

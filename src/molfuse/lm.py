@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .autodiff import Tape, backward, parameter
-from .optim import AdamState, adam_step, complete_gradients
+from .optim import AdamState, adam_step
 from .smiles import Vocabulary, pack_batch
 
 
@@ -192,7 +192,7 @@ def select_mlm_positions(sequence, mask_rate, rng):
     return picks
 
 
-def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate, seed=0):
+def mlm_pretrain_step(encoder, head, state, batch, mask_rate, seed=0):
     """Mask tokens, predict the originals, take one Adam step.
 
     Returns the scalar loss, or None when no token was maskable (the step
@@ -218,8 +218,7 @@ def mlm_pretrain_step(encoder, head, params, state, batch, mask_rate, seed=0):
     picked = tape.apply("gather-rows", e_out, indices=rows)
     logits = tape.apply("matmul", picked, head.w, head.b)
     loss = tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
-    grads = backward(loss, tape)
-    adam_step(params, complete_gradients(params, grads), state)
+    adam_step(state, backward(loss, tape))
     return float(loss.values)
 
 
@@ -228,8 +227,7 @@ def run_mlm_pretraining(encoder, train_sequences, epochs, batch_size, lr,
     """Self-contained MLM stage over the training split's sequences."""
     rng = np.random.default_rng(seed)
     head = MlmHead(encoder.config.hidden_dim, encoder.vocab_size, rng)
-    params = encoder.parameters() + head.parameters()
-    state = AdamState(params, lr=lr)
+    state = AdamState(encoder.parameters() + head.parameters(), lr=lr)
     losses = []
     skipped = 0
     for epoch in range(epochs):
@@ -238,7 +236,7 @@ def run_mlm_pretraining(encoder, train_sequences, epochs, batch_size, lr,
         for lo in range(0, len(order), batch_size):
             batch = [train_sequences[i] for i in order[lo:lo + batch_size]]
             loss = mlm_pretrain_step(
-                encoder, head, params, state, batch, mask_rate,
+                encoder, head, state, batch, mask_rate,
                 seed=seed * 100003 + epoch * 1009 + lo,
             )
             if loss is None:

@@ -3,49 +3,36 @@
 import numpy as np
 
 
-class GradientMissing(KeyError):
-    pass
-
-
 class AdamState:
-    """First/second moment buffers plus the shared step counter t."""
+    """The parameters it steps, their first/second moment buffers and the
+    shared step counter t."""
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {p.node_id: np.zeros_like(p.values) for p in params}
-        self.v = {p.node_id: np.zeros_like(p.values) for p in params}
+        self.m = {p.node_id: np.zeros_like(p.values) for p in self.params}
+        self.v = {p.node_id: np.zeros_like(p.values) for p in self.params}
 
 
-def complete_gradients(params, grads):
-    """``grads`` with an exactly-zero array for each parameter it lacks (one
-    that fed no recorded op); every present gradient is passed through."""
-    full = {}
+def adam_step(state, grads):
+    """One in-place Adam update of ``state.params``; t increments exactly
+    once per call.
+
+    ``grads`` maps node_id -> gradient array (the output of backward()). A
+    parameter with no entry, one that fed no recorded op, steps with an
+    exactly-zero gradient; a present entry must match its parameter's shape.
+    """
+    params = state.params
     for p in params:
         g = grads.get(p.node_id)
-        full[p.node_id] = np.zeros_like(p.values) if g is None else g
-    return full
-
-
-def adam_step(params, grads, state):
-    """One in-place Adam update; t increments exactly once per call.
-
-    ``grads`` maps node_id -> gradient array (the output of backward()).
-    Every parameter must have an entry of matching shape. Each parameter's
-    ``grad`` slot is cleared once applied, so a step's gradients are freed
-    with the step instead of living through the next step's forward.
-    """
-    for p in params:
-        if p.node_id not in grads:
-            label = p.name or f"node{p.node_id}"
-            raise GradientMissing(f"no gradient entry for parameter '{label}'")
-        if grads[p.node_id].shape != p.values.shape:
+        if g is not None and g.shape != p.values.shape:
             label = p.name or f"node{p.node_id}"
             raise ValueError(
-                f"gradient shape {grads[p.node_id].shape} does not match "
+                f"gradient shape {g.shape} does not match "
                 f"parameter '{label}' shape {p.values.shape}"
             )
     state.t += 1
@@ -53,7 +40,9 @@ def adam_step(params, grads, state):
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for p in params:
-        g = grads[p.node_id]
+        g = grads.get(p.node_id)
+        if g is None:
+            g = np.zeros_like(p.values)
         m = state.m[p.node_id]
         v = state.v[p.node_id]
         # two temporaries per parameter, in the operation order of
@@ -73,6 +62,4 @@ def adam_step(params, grads, state):
         np.multiply(state.lr, step, out=step)
         step /= denom
         p.values -= step
-        p.grad = None
         p.checked = False  # values changed; revalidate on next use
-    return params, state

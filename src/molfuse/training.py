@@ -26,7 +26,7 @@ from .data import (
 from .gnn import GNN_VARIANTS, UPDATE_KINDS
 from .integration import FUSION_OPS, STRATEGIES, EncodedMolecule, IntegratedModel
 from .lm import run_mlm_pretraining
-from .optim import AdamState, adam_step, complete_gradients
+from .optim import AdamState, adam_step
 from .smiles import Vocabulary, parse, tokenize
 
 DEFAULT_LABEL_COLUMNS = {"regression": "log_solubility",
@@ -111,6 +111,8 @@ class RunConfig:
                 raise ValueError(f"{name} = {getattr(self, name)}: {why}")
 
         check("seeds", self.seeds, "must be non-empty")
+        check("seeds", min(self.seeds) >= 0, "must be >= 0")
+        SplitSpec(self.ratios)  # the split's own check: "ratios = ...: why"
         for name, choices in CHOICES.items():
             check(name, getattr(self, name) in choices,
                   f"choose from {', '.join(choices)}")
@@ -351,7 +353,7 @@ def retain_heap():
     return _heap_retained
 
 
-def train_epoch(model, params, state, mols, batch_size, seed, epoch):
+def train_epoch(model, state, mols, batch_size, seed, epoch):
     """Adam steps over ``mols`` in the epoch's seeded batch order; False at
     the first non-finite loss, whose step is not taken."""
     for b, batch in enumerate(batch_iter(mols, batch_size, _mix(seed, epoch))):
@@ -360,7 +362,7 @@ def train_epoch(model, params, state, mols, batch_size, seed, epoch):
         if not np.isfinite(loss.values):
             return False
         # no name holds the gradients, so they are freed before the next batch
-        adam_step(params, complete_gradients(params, backward(loss, tape)), state)
+        adam_step(state, backward(loss, tape))
     return True
 
 
@@ -425,16 +427,15 @@ def train_one(config, seed, out_dir=None, load_result=None):
         result.counters["mlm_batches"] = len(losses)
         result.counters["mlm_skipped"] = skipped
 
-    params = model.parameters()
-    state = AdamState(params, lr=config.lr)
+    state = AdamState(model.parameters(), lr=config.lr)
     best_state = model.state_dict()
     best_val = None
     stale = 0
     for epoch in range(config.max_epochs):
         started = time.perf_counter()
         try:
-            if not train_epoch(model, params, state, train_mols,
-                               config.batch_size, seed, epoch):
+            if not train_epoch(model, state, train_mols, config.batch_size,
+                               seed, epoch):
                 return failure(f"non-finite loss at epoch {epoch}", epoch)
             val_metric = evaluate(model, valid_mols, task)
         except FloatingPointError as exc:
@@ -559,8 +560,7 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
     for strategy in strategies:
         run_cfg = dataclasses.replace(config, strategy=strategy)
         model = build_model(run_cfg, len(vocab), seed)
-        params = model.parameters()
-        runners[strategy] = (model, params, AdamState(params, lr=config.lr))
+        runners[strategy] = (model, AdamState(model.parameters(), lr=config.lr))
 
     times = {strategy: [] for strategy in strategies}
     faults = {strategy: [] for strategy in strategies}
@@ -568,12 +568,12 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
     try:
         for epoch in range(warmup_epochs + measured_epochs):
             for strategy in strategies:
-                model, params, state = runners[strategy]
+                model, state = runners[strategy]
                 gc.collect()
                 gc.disable()
                 faults_before = minor_faults()
                 started = time.perf_counter()
-                if not train_epoch(model, params, state, train_mols,
+                if not train_epoch(model, state, train_mols,
                                    config.batch_size, seed, epoch):
                     raise FloatingPointError(f"{strategy}: non-finite loss")
                 elapsed = time.perf_counter() - started

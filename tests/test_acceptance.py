@@ -77,7 +77,7 @@ def test_c1_gradient_oracle():
     differences (h = 1e-5) within relative error 1e-4, in under 2 min."""
     started = time.time()
     ops = check_gradients(trials=10, tolerance=1e-4, seed=2024)
-    strategy_errors = strategy_gradient_errors(tolerance=1e-4)
+    strategy_errors = strategy_gradient_errors()
     elapsed = time.time() - started
     worst_strategy = max(strategy_errors.values())
     passed = ops.passed and worst_strategy < 1e-4 and elapsed < 120

@@ -169,7 +169,6 @@ class TestBackwardExamples:
         loss = tape.apply("sum-over-rows", sq)
         grads = backward(loss, tape)
         np.testing.assert_array_equal(grads[w.node_id], [2.0, 4.0])
-        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
     def test_sigmoid_at_zero(self):
         tape = Tape()
@@ -263,8 +262,7 @@ class TestLeanTape:
         tape = Tape()
         loss, ref = forward(tape)
         assert ref() is None
-        backward(loss, tape)
-        assert w1.grad is not None
+        assert backward(loss, tape)[w1.node_id] is not None
 
     def test_backward_consumes_tape_and_returns_leaves_only(self, rng):
         x, params = self._mlp(rng)
@@ -277,9 +275,7 @@ class TestLeanTape:
         grads = backward(loss, tape)
         assert tape.records == []
         assert set(grads) == {p.node_id for p in params}
-        assert all(p.grad is grads[p.node_id] for p in params)
-        assert pre.grad is None and hidden.grad is None and loss.grad is None
-        assert x.grad is None
+        assert not {x.node_id, pre.node_id, hidden.node_id, loss.node_id} & set(grads)
         with pytest.raises(RuntimeError, match="consumed"):
             backward(loss, tape)
 

@@ -177,6 +177,8 @@ class TestConfigFile:
         (["--alpha-graph", "-0.5"], "alpha_graph"),
         (["--gnn-variant", "graphconv", "--graphconv-layers", "0"],
          "graphconv_layers"),
+        (["--seeds", "-1"], "seeds"),
+        (["--ratios", "1:0:0"], "ratios"),
     ])
     def test_out_of_range_flag_names_its_key(self, capsys, flags, key):
         assert main(["train", *flags]) == EXIT_USAGE

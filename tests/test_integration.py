@@ -346,6 +346,14 @@ class TestContrastStrategies:
         gnn_grads = [grads.get(p.node_id) for p in model.gnn.parameters()]
         assert all(g is None or not g.any() for g in gnn_grads)
 
+    @pytest.mark.parametrize("strategy", ["contrast-node", "contrast-graph"])
+    def test_frozen_mpnn_stays_off_the_tape(self, strategy):
+        model = tiny_model(strategy, frozen_mpnn=True)
+        tape = Tape()
+        model.forward_batch(tape, mols_for(["CCO", "C1CC1"]), batch_seed=3)
+        gnn_ids = {p.node_id for p in model.gnn.parameters()}
+        assert gnn_ids and not gnn_ids & set(tape.watched)
+
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_predict_only_builds_no_loss(strategy, monkeypatch):

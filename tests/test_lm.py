@@ -201,20 +201,19 @@ class TestMlm:
         rng = np.random.default_rng(seed)
         enc = SmilesEncoder(cfg, len(vocab), rng)
         head = MlmHead(cfg.hidden_dim, len(vocab), rng)
-        params = enc.parameters() + head.parameters()
-        state = AdamState(params, lr=0.01)
+        state = AdamState(enc.parameters() + head.parameters(), lr=0.01)
         seqs = [tokenize(s, vocab) for s in smiles_list]
-        return enc, head, params, state, seqs
+        return enc, head, state, seqs
 
     def test_rate_zero_skips(self):
-        enc, head, params, state, seqs = self._setup(["CCO", "CCC"])
-        assert mlm_pretrain_step(enc, head, params, state, seqs, 0.0, 1) is None
+        enc, head, state, seqs = self._setup(["CCO", "CCC"])
+        assert mlm_pretrain_step(enc, head, state, seqs, 0.0, 1) is None
         assert state.t == 0
 
     def test_single_token_corpus_loss_goes_to_zero(self):
-        enc, head, params, state, seqs = self._setup(["C"] * 4)
+        enc, head, state, seqs = self._setup(["C"] * 4)
         losses = [
-            mlm_pretrain_step(enc, head, params, state, seqs, 1.0, seed=k)
+            mlm_pretrain_step(enc, head, state, seqs, 1.0, seed=k)
             for k in range(120)
         ]
         assert losses[-1] < 0.05 * losses[0]
@@ -222,20 +221,20 @@ class TestMlm:
 
     def test_descent_on_majority_of_early_steps(self):
         smiles = ["CCO", "CC(=O)O", "C1CC1", "OCC(O)CO", "CCC", "C#N"]
-        enc, head, params, state, seqs = self._setup(smiles, seed=3)
+        enc, head, state, seqs = self._setup(smiles, seed=3)
         improved = 0
         trials = 10
         for k in range(trials):
-            before = mlm_pretrain_step(enc, head, params, state, seqs, 0.3, seed=77)
+            before = mlm_pretrain_step(enc, head, state, seqs, 0.3, seed=77)
             after_tape_loss = mlm_pretrain_step(
-                enc, head, params, state, seqs, 0.3, seed=77
+                enc, head, state, seqs, 0.3, seed=77
             )
             if after_tape_loss <= before:
                 improved += 1
         assert improved > trials // 2
 
     def test_run_pretraining_counts_skips(self):
-        enc, head, params, state, seqs = self._setup(["CCO"])
+        enc, head, state, seqs = self._setup(["CCO"])
         losses, skipped = run_mlm_pretraining(
             enc, seqs, epochs=2, batch_size=2, lr=0.001, mask_rate=0.2, seed=0
         )

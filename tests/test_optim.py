@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from molfuse.autodiff import parameter
-from molfuse.optim import AdamState, GradientMissing, adam_step, complete_gradients
+from molfuse.optim import AdamState, adam_step
 
 
 def test_first_step_closed_form():
     # fresh state, g=1: m_hat = v_hat = 1, so the step is lr / (1 + eps)
     w = parameter(np.array(1.0), name="w")
     state = AdamState([w], lr=0.001)
-    adam_step([w], {w.node_id: np.array(1.0)}, state)
+    adam_step(state, {w.node_id: np.array(1.0)})
     assert w.values == pytest.approx(1.0 - 0.001 / (1.0 + 1e-8), abs=1e-12)
     assert w.values == pytest.approx(0.9990, abs=1e-9)
     assert state.t == 1
@@ -18,7 +18,7 @@ def test_first_step_closed_form():
 def test_zero_gradient_leaves_params_unchanged():
     w = parameter(np.array([1.5, -2.0]))
     state = AdamState([w])
-    adam_step([w], {w.node_id: np.zeros(2)}, state)
+    adam_step(state, {w.node_id: np.zeros(2)})
     np.testing.assert_array_equal(w.values, [1.5, -2.0])
 
 
@@ -27,24 +27,34 @@ def test_constant_gradient_monotone_decrease():
     state = AdamState([w])
     seen = [w.values.copy()]
     for _ in range(2):
-        adam_step([w], {w.node_id: np.array(1.0)}, state)
+        adam_step(state, {w.node_id: np.array(1.0)})
         seen.append(w.values.copy())
     assert seen[0] > seen[1] > seen[2]
     assert state.t == 2
 
 
-def test_step_clears_grad_slots():
-    # the applied gradients must not outlive the step through p.grad
-    ps = [parameter(np.ones(2)) for _ in range(2)]
-    for p in ps:
-        p.grad = np.ones(2)
-    adam_step(ps, {p.node_id: p.grad for p in ps}, AdamState(ps))
-    assert all(p.grad is None for p in ps)
+def test_absent_entry_steps_like_an_explicit_zero():
+    # a parameter that fed no recorded op has no entry in backward's dict
+    def train(explicit_zero):
+        used = parameter(np.full((2, 3), 0.25))
+        unused = parameter(np.array([1.5, -2.0, 1e-3, -0.0]))
+        state = AdamState([used, unused], lr=0.01)
+        grads = np.random.default_rng(7).normal(size=(3, 2, 3))
+        for g in grads:
+            entries = {used.node_id: g}
+            if explicit_zero:
+                entries[unused.node_id] = np.zeros(4)
+            adam_step(state, entries)
+        return [used.values, unused.values, state.m[unused.node_id],
+                state.v[unused.node_id]]
+
+    for absent, zero in zip(train(False), train(True)):
+        assert absent.tobytes() == zero.tobytes()
 
 
-def test_complete_gradients_allocates_only_missing_entries(monkeypatch):
+def test_zeros_allocated_only_for_absent_entries(monkeypatch):
     used, unused = parameter(np.ones((2, 3))), parameter(np.ones(4))
-    present = np.full((2, 3), 0.5)
+    state = AdamState([used, unused])
     allocated = []
     zeros_like = np.zeros_like
 
@@ -53,30 +63,21 @@ def test_complete_gradients_allocates_only_missing_entries(monkeypatch):
         return zeros_like(values)
 
     monkeypatch.setattr(np, "zeros_like", counted)
-    full = complete_gradients([used, unused], {used.node_id: present})
-    assert full[used.node_id] is present
-    np.testing.assert_array_equal(full[unused.node_id], np.zeros(4))
+    adam_step(state, {used.node_id: np.full((2, 3), 0.5)})
     assert allocated == [(4,)]
-
-
-def test_missing_gradient_names_parameter():
-    w = parameter(np.array(1.0), name="embed.weight")
-    state = AdamState([w])
-    with pytest.raises(GradientMissing, match="embed.weight"):
-        adam_step([w], {}, state)
 
 
 def test_shape_mismatch_rejected():
     w = parameter(np.ones(3), name="w")
     state = AdamState([w])
     with pytest.raises(ValueError, match="w"):
-        adam_step([w], {w.node_id: np.ones(2)}, state)
+        adam_step(state, {w.node_id: np.ones(2)})
 
 
 def test_t_increments_once_per_call_with_many_params():
     ps = [parameter(np.ones(2)) for _ in range(4)]
     state = AdamState(ps)
-    adam_step(ps, {p.node_id: np.ones(2) for p in ps}, state)
+    adam_step(state, {p.node_id: np.ones(2) for p in ps})
     assert state.t == 1
 
 
@@ -92,7 +93,7 @@ def test_bitwise_equal_to_textbook_update(rng):
     b1, b2, eps = state.beta1, state.beta2, state.eps
     for t in range(1, 6):
         grads = [rng.normal(size=s) for s in shapes]
-        adam_step(params, {p.node_id: g for p, g in zip(params, grads)}, state)
+        adam_step(state, {p.node_id: g for p, g in zip(params, grads)})
         for i, g in enumerate(grads):
             ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
             ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)

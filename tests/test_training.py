@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from molfuse.autodiff import Tape, backward, constant
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
 from molfuse.integration import IntegratedModel
-from molfuse.optim import AdamState, adam_step, complete_gradients
+from molfuse.optim import AdamState, adam_step
 from molfuse.smiles import Vocabulary, parse
 from molfuse.synthdata import write_dataset
 from molfuse.training import (
@@ -30,6 +32,7 @@ from molfuse.training import (
     logistic,
     profile_strategies,
     run_seeds,
+    train_epoch,
     train_one,
 )
 
@@ -269,11 +272,11 @@ class TestRunSeeds:
         real_step = training.adam_step
         steps = []
 
-        def poisoned(params, grads, state):
-            out = real_step(params, grads, state)
+        def poisoned(state, grads):
+            out = real_step(state, grads)
             steps.append(state.t)
             if len(steps) == 3:
-                params[0].values[0, 0] = np.nan
+                state.params[0].values[0, 0] = np.nan
             return out
 
         monkeypatch.setattr(training, "adam_step", poisoned)
@@ -321,7 +324,7 @@ import gc, os, resource, tempfile
 from molfuse import training
 from molfuse.autodiff import Tape, backward
 from molfuse.data import TaskKind, load_csv
-from molfuse.optim import AdamState, adam_step, complete_gradients
+from molfuse.optim import AdamState, adam_step
 from molfuse.smiles import Vocabulary
 from molfuse.synthdata import write_dataset
 
@@ -335,15 +338,14 @@ records = load_csv(path, "smiles", "p_np", TaskKind(config.task)).records
 vocab = Vocabulary.build(r.smiles for r in records)
 batch, _, _ = training.prepare_molecules(records, vocab, config.max_len)
 model = training.build_model(config, len(vocab), seed=0)
-params = model.parameters()
-state = AdamState(params)
+state = AdamState(model.parameters())
 steps = []
 gc.disable()
 for step in range(10):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tape = Tape()
     loss, _, _ = model.forward_batch(tape, batch, batch_seed=step)
-    adam_step(params, complete_gradients(params, backward(loss, tape)), state)
+    adam_step(state, backward(loss, tape))
     steps.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(" ".join(map(str, steps)))
 """
@@ -397,6 +399,36 @@ class TestHeapRetention:
         assert len(faults) == 10
         # the first two steps bring the heap to its high-water mark
         assert max(faults[2:]) < 50, faults
+
+    def test_gradients_die_with_their_step(self, monkeypatch):
+        # backward's dict is a gradient's only home: once a step returns,
+        # no array backward returned is alive, without the collector's help
+        model = build_model(RunConfig(
+            strategy="late-fusion", hidden_dim=8, num_layers=1, num_heads=2,
+            ffn_dim=12, max_len=64, message_steps=2, edge_hidden=6,
+        ), len(VOCAB), seed=0)
+        real_backward, real_forward = training.backward, model.forward_batch
+        refs = []
+
+        def recording_backward(loss, tape):
+            grads = real_backward(loss, tape)
+            refs.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        def checking_forward(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        monkeypatch.setattr(model, "forward_batch", checking_forward)
+        gc.disable()
+        try:
+            assert train_epoch(model, AdamState(model.parameters()),
+                               TestModelFields.MOLS, 2, seed=0, epoch=0)
+            assert len(refs) == 2 * len(model.parameters())
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestClassificationRun:
@@ -494,6 +526,9 @@ class TestRunConfig:
         ({"mlm_rate": 1.1}, "mlm_rate"),
         ({"hidden_dim": 30}, "hidden_dim"),
         ({"gnn_variant": "graphconv", "graphconv_layers": 0}, "graphconv_layers"),
+        ({"seeds": (0, -1)}, "seeds"),
+        ({"ratios": (1.0, 0.0, 0.0)}, "ratios"),
+        ({"ratios": (0.5, 0.2, 0.2)}, "ratios"),
     ])
     def test_out_of_range_names_its_field(self, overrides, key):
         with pytest.raises(ValueError, match=f"^{key} = "):
@@ -568,11 +603,9 @@ class TestModelFields:
     def losses(self, config, state):
         model = build_model(config, len(VOCAB), seed=0)
         model.load_state_dict(state)
-        params = model.parameters()
         tape = Tape()
         loss, _, _ = model.forward_batch(tape, self.MOLS, batch_seed=1)
-        grads = complete_gradients(params, backward(loss, tape))
-        adam_step(params, grads, AdamState(params, lr=0.01))
+        adam_step(AdamState(model.parameters(), lr=0.01), backward(loss, tape))
         after, _, _ = model.forward_batch(Tape(), self.MOLS, batch_seed=1)
         return float(loss.values), float(after.values)
 

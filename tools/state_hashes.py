@@ -9,9 +9,12 @@ CSV for seed 3, takes each strategy's ``RunConfig`` from
 to 2, trains one seed with ``training.train_one`` and prints
 one line per strategy: the workload, the strategy, the test metric and
 the SHA-256 of the trained ``state_dict`` (parameter names and float64
-bytes, in name order). ``lm-baseline`` and ``contrast-graph``, which no
-workload trains, run on ``small-graph-integration``'s inputs and config,
-so all seven wirings are covered. ``--root`` picks the source checkout whose
+bytes, in name order). The configurations in ``EXTRA``, which no workload
+trains, run on ``small-graph-integration``'s inputs and config with their
+field overrides, so all seven wirings are covered, as are the frozen
+message passer and a message passer with no message step. A line with
+overrides names them after the strategy, as ``strategy+field=value``.
+``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
 script), so two checkouts compare with one ``diff`` of the outputs.
 """
@@ -26,8 +29,17 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 3
 EPOCHS = 2
-# strategies no workload trains, hashed on one workload's inputs and config
-EXTRA = {"small-graph-integration": ("lm-baseline", "contrast-graph")}
+# (strategy, field overrides) no workload trains, hashed on one workload's
+# inputs and config; message_steps=0 leaves the update cell off the tape, so
+# the optimizer steps its parameters with zero gradients
+EXTRA = {"small-graph-integration": (
+    ("lm-baseline", {}),
+    ("contrast-graph", {}),
+    ("contrast-node", {"frozen_mpnn": True}),
+    ("contrast-graph", {"frozen_mpnn": True}),
+    ("contrast-node", {"message_steps": 0}),
+    ("contrast-graph", {"message_steps": 0}),
+)}
 
 
 def state_hash(state):
@@ -57,13 +69,17 @@ def main(argv=None):
             write_inputs(workload, SEED, csv_path)
             seed = data_seed(SEED)
             configs = run_configs(workload, csv_path, seed)
-            configs += [dataclasses.replace(configs[0], strategy=strategy)
-                        for strategy in EXTRA.get(name, ())]
-            for config in configs:
+            runs = [(config, {}) for config in configs]
+            runs += [(dataclasses.replace(configs[0], strategy=strategy,
+                                          **overrides), overrides)
+                     for strategy, overrides in EXTRA.get(name, ())]
+            for config, overrides in runs:
                 config = dataclasses.replace(
                     config, max_epochs=EPOCHS, patience=EPOCHS)
                 model, result = train_one(config, seed)
-                print(f"{name} {config.strategy} {result.test_metric!r} "
+                label = "".join([config.strategy] + [
+                    f"+{key}={value}" for key, value in overrides.items()])
+                print(f"{name} {label} {result.test_metric!r} "
                       f"{state_hash(model.state_dict())}", flush=True)
     return 0
 
