@@ -9,6 +9,8 @@ offsets instead of padding; readout is the mean over each graph's block.
 Both variants read their sizes from a :class:`molfuse.training.RunConfig`:
 ``gnn_variant``, ``hidden_dim``, ``message_steps``, ``update_kind`` and
 ``edge_hidden`` for the message passer, ``graphconv_layers`` for GraphConv.
+With ``message_steps = 0`` the message passer builds its input layer
+alone: no forward would read an edge network or an update cell.
 """
 
 import numpy as np
@@ -89,39 +91,39 @@ class Mpnn:
         w = cell_width or d
         self.cell_width = w
         eh = config.edge_hidden
-        self.w_in = parameter(xavier(rng, NODE_FEATURE_DIM, d), "gnn.w_in")
-        self.b_in = parameter(np.zeros(d), "gnn.b_in")
-        self.we1 = parameter(xavier(rng, EDGE_FEATURE_DIM, eh), "gnn.edge.w1")
-        self.be1 = parameter(np.zeros(eh), "gnn.edge.b1")
-        self.we2 = parameter(xavier(rng, eh, w * w), "gnn.edge.w2")
-        self.be2 = parameter(np.zeros(w * w), "gnn.edge.b2")
+        self._params = []  # in build order
+
+        def build(name, values):
+            p = parameter(values, f"gnn.{name}")
+            self._params.append(p)
+            return p
+
+        self.w_in = build("w_in", xavier(rng, NODE_FEATURE_DIM, d))
+        self.b_in = build("b_in", np.zeros(d))
+        if config.message_steps == 0:
+            return
+        self.we1 = build("edge.w1", xavier(rng, EDGE_FEATURE_DIM, eh))
+        self.be1 = build("edge.b1", np.zeros(eh))
+        self.we2 = build("edge.w2", xavier(rng, eh, w * w))
+        self.be2 = build("edge.b2", np.zeros(w * w))
         if config.update_kind == "gru":
-            self.wz = parameter(xavier(rng, 2 * w, w), "gnn.cell.wz")
-            self.bz = parameter(np.zeros(w), "gnn.cell.bz")
-            self.wr = parameter(xavier(rng, 2 * w, w), "gnn.cell.wr")
-            self.br = parameter(np.zeros(w), "gnn.cell.br")
-            self.wm = parameter(xavier(rng, w, w), "gnn.cell.wm")
-            self.wh = parameter(xavier(rng, w, w), "gnn.cell.wh")
-            self._cell = [self.wz, self.bz, self.wr, self.br, self.wm, self.wh]
+            self.wz = build("cell.wz", xavier(rng, 2 * w, w))
+            self.bz = build("cell.bz", np.zeros(w))
+            self.wr = build("cell.wr", xavier(rng, 2 * w, w))
+            self.br = build("cell.br", np.zeros(w))
+            self.wm = build("cell.wm", xavier(rng, w, w))
+            self.wh = build("cell.wh", xavier(rng, w, w))
         else:
-            self.wu1 = parameter(xavier(rng, 2 * w, w), "gnn.cell.wu1")
-            self.bu1 = parameter(np.zeros(w), "gnn.cell.bu1")
-            self.wu2 = parameter(xavier(rng, w, w), "gnn.cell.wu2")
-            self.bu2 = parameter(np.zeros(w), "gnn.cell.bu2")
-            self._cell = [self.wu1, self.bu1, self.wu2, self.bu2]
+            self.wu1 = build("cell.wu1", xavier(rng, 2 * w, w))
+            self.bu1 = build("cell.bu1", np.zeros(w))
+            self.wu2 = build("cell.wu2", xavier(rng, w, w))
+            self.bu2 = build("cell.bu2", np.zeros(w))
         if w != d:
-            self.w_proj = parameter(xavier(rng, w, d), "gnn.w_proj")
-            self.b_proj = parameter(np.zeros(d), "gnn.b_proj")
-        else:
-            self.w_proj = None
-            self.b_proj = None
+            self.w_proj = build("w_proj", xavier(rng, w, d))
+            self.b_proj = build("b_proj", np.zeros(d))
 
     def parameters(self):
-        params = [self.w_in, self.b_in, self.we1, self.be1, self.we2, self.be2]
-        params.extend(self._cell)
-        if self.w_proj is not None:
-            params.extend([self.w_proj, self.b_proj])
-        return params
+        return list(self._params)
 
     def initial_states(self, tape, batch):
         x = constant(batch.node_features)
@@ -176,7 +178,7 @@ class Mpnn:
         )
 
     def _project(self, tape, states):
-        if self.w_proj is None:
+        if self.cell_width == self.config.hidden_dim:
             return states
         return tape.apply("matmul", states, self.w_proj, self.b_proj)
 
@@ -185,7 +187,8 @@ class Mpnn:
         cross-model rows into h before both aggregation and update."""
         h = self.initial_states(tape, batch)
         message_fn = (
-            self._message_operator(tape, batch) if batch.edge_src.size else None
+            self._message_operator(tape, batch)
+            if self.config.message_steps and batch.edge_src.size else None
         )
         for _ in range(self.config.message_steps):
             fused = fuse_fn(tape, h) if fuse_fn is not None else h

@@ -203,6 +203,9 @@ class IntegratedModel:
             self.gnn = build_gnn(
                 config, np.random.default_rng([seed, 1]), cell_width=cell_width
             )
+            # frozen weights are constants: no tape records them, no Adam steps them
+            for p in self.gnn.parameters():
+                p.requires_grad = not config.frozen_mpnn
         head_width = 2 * d if (strategy == "late-fusion" and fusion == "concat") else d
         self.head = PredictionHead(
             head_width, d, np.random.default_rng([seed, 2])
@@ -245,8 +248,7 @@ class IntegratedModel:
         return tape.apply("gather-rows", e_out, indices=packed.offsets[:-1]), None
 
     def _mpnn_readout(self, tape, gb):
-        states = self.gnn.run(tape, gb)
-        return self.gnn.readout(tape, states, gb), states
+        return self.gnn.readout(tape, self.gnn.run(tape, gb), gb)
 
     def _prediction_loss(self, tape, preds, labels):
         target = constant(labels.reshape(-1, 1))
@@ -302,7 +304,7 @@ class IntegratedModel:
         info = {"skipped_triples": 0}
 
         if strategy == "mpnn-baseline":
-            pooled, _ = self._mpnn_readout(tape, gb)
+            pooled = self._mpnn_readout(tape, gb)
             preds = self.head.forward(tape, pooled)
         elif strategy == "mpnn2lm":
             preds = self._forward_mpnn2lm(tape, mols, gb, self.gnn.run(tape, gb))
@@ -314,7 +316,7 @@ class IntegratedModel:
                 per_graph = tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
                 preds = self.head.forward(tape, per_graph)
             elif strategy == "late-fusion":
-                pooled, _ = self._mpnn_readout(tape, gb)
+                pooled = self._mpnn_readout(tape, gb)
                 fused = fuse(tape, cls_rows, pooled, config.fusion, self.gate_params)
                 preds = self.head.forward(tape, fused)
             elif strategy == "lm2mpnn":
@@ -325,14 +327,12 @@ class IntegratedModel:
             return None, preds, info
 
         loss = self._prediction_loss(tape, preds, labels)
-        # a frozen message passer records nothing: its outputs are constants
-        gnn_tape = Tape(grad_enabled=False) if config.frozen_mpnn else tape
         if strategy == "contrast-node":
-            anchors, positives = lm_nodes, self.gnn.run(gnn_tape, gb)
+            anchors, positives = lm_nodes, self.gnn.run(tape, gb)
             offsets, cross_graph = gb.offsets, config.cross_graph_negatives
             weight = config.alpha
         elif strategy == "contrast-graph":
-            anchors, (positives, _) = cls_rows, self._mpnn_readout(gnn_tape, gb)
+            anchors, positives = cls_rows, self._mpnn_readout(tape, gb)
             offsets, cross_graph = np.arange(len(mols) + 1), True
             weight = config.alpha_graph
         else:

@@ -4,11 +4,12 @@ import numpy as np
 
 
 class AdamState:
-    """The parameters it steps, their first/second moment buffers and the
-    shared step counter t."""
+    """The parameters it steps (those of ``params`` that require a
+    gradient), their first/second moment buffers and the shared step
+    counter t."""
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
+        self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

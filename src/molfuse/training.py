@@ -147,6 +147,11 @@ class RunConfig:
         return cls(**data)
 
 
+# the SeedResult fields that differ between runs of one seed; to_record
+# puts them under "timing", the one key determinism checks strip
+TIMING_FIELDS = ("epoch_times", "peak_rss_mb", "blas_threads", "minor_faults")
+
+
 @dataclass
 class SeedResult:
     seed: int
@@ -165,25 +170,8 @@ class SeedResult:
     minor_faults: int = 0
 
     def to_record(self):
-        rec = {
-            "type": "seed",
-            "seed": self.seed,
-            "test_metric": self.test_metric,
-            "best_epoch": self.best_epoch,
-            "best_val_metric": self.best_val_metric,
-            "val_history": self.val_history,
-            "epochs_run": self.epochs_run,
-            "naive_metric": self.naive_metric,
-            "counters": self.counters,
-            "failed": self.failed,
-            "failure_reason": self.failure_reason,
-            "timing": {
-                "epoch_times": self.epoch_times,
-                "peak_rss_mb": self.peak_rss_mb,
-                "blas_threads": self.blas_threads,
-                "minor_faults": self.minor_faults,
-            },
-        }
+        rec = {"type": "seed", **dataclasses.asdict(self)}
+        rec["timing"] = {name: rec.pop(name) for name in TIMING_FIELDS}
         return rec
 
 
@@ -301,6 +289,25 @@ def prepare_molecules(records, vocab, max_len):
     return mols, dropped, unknown
 
 
+def prepare_splits(config, records, seed):
+    """The seed's (train, valid, test) records, the vocabulary of the train
+    split and each split's ``prepare_molecules`` result.
+
+    Raises ValueError naming ``max_len`` when it drops every molecule of a
+    non-empty split.
+    """
+    splits = split(records, SplitSpec(config.ratios, seed))
+    vocab = Vocabulary.build(r.smiles for r in splits[0])
+    prepared = []
+    for name, recs in zip(("train", "valid", "test"), splits):
+        mols, dropped, unknown = prepare_molecules(recs, vocab, config.max_len)
+        if recs and not mols:
+            raise ValueError(f"max_len = {config.max_len}: drops all "
+                             f"{len(recs)} molecules of the {name} split")
+        prepared.append((mols, dropped, unknown))
+    return splits, vocab, prepared
+
+
 def build_model(config, vocab_size, seed):
     return IntegratedModel(config, vocab_size, seed)
 
@@ -373,7 +380,8 @@ def train_one(config, seed, out_dir=None, load_result=None):
     the validation metric -> test metric from the best-validation
     snapshot. A non-finite loss, or a NaN or inf reaching any op (which
     the tape reports with the op kind), aborts the run and is recorded as
-    a failure of this seed only.
+    a failure of this seed only, its reason naming the stage: MLM
+    pretraining, an epoch or test evaluation.
     """
     retain_heap()
     faults_before = minor_faults()
@@ -381,30 +389,22 @@ def train_one(config, seed, out_dir=None, load_result=None):
     result = SeedResult(seed=seed, blas_threads=blas_threads())
 
     def finish():
+        result.epochs_run = len(result.val_history)
         result.peak_rss_mb = peak_rss_mb()
         result.minor_faults = minor_faults() - faults_before
         return model, result
 
-    def failure(reason, epochs_run):
+    def failure(reason):
         result.failed = True
         result.failure_reason = reason
-        result.epochs_run = epochs_run
         return finish()
 
     data = load_result or load_csv(
         config.dataset, config.smiles_column, config.label_column, task
     )
-    splits = split(data.records, SplitSpec(config.ratios, seed))
-    train_recs, _, test_recs = splits
+    (train_recs, _, test_recs), vocab, prepared = prepare_splits(
+        config, data.records, seed)
     result.naive_metric = naive_baseline(train_recs, test_recs, task)
-    vocab = Vocabulary.build(r.smiles for r in train_recs)
-    prepared = []
-    for name, recs in zip(("train", "valid", "test"), splits):
-        mols, dropped, unknown = prepare_molecules(recs, vocab, config.max_len)
-        if recs and not mols:
-            raise ValueError(f"max_len = {config.max_len}: drops all "
-                             f"{len(recs)} molecules of the {name} split")
-        prepared.append((mols, dropped, unknown))
     (train_mols, _, _), (valid_mols, _, _), (test_mols, _, _) = prepared
     result.counters = {
         "quarantined": len(data.quarantined),
@@ -415,54 +415,49 @@ def train_one(config, seed, out_dir=None, load_result=None):
     }
 
     model = build_model(config, len(vocab), seed)
-    if config.mlm_pretrain and model.encoder is not None:
-        try:
+    stage = "in MLM pretraining"
+    try:
+        if config.mlm_pretrain and model.encoder is not None:
             losses, skipped = run_mlm_pretraining(
                 model.encoder, [m.tokens for m in train_mols],
                 epochs=config.mlm_epochs, batch_size=config.batch_size,
                 lr=config.lr, mask_rate=config.mlm_rate, seed=_mix(seed, 0xA11),
             )
-        except FloatingPointError as exc:
-            return failure(f"non-finite value in MLM pretraining: {exc}", 0)
-        result.counters["mlm_batches"] = len(losses)
-        result.counters["mlm_skipped"] = skipped
+            result.counters["mlm_batches"] = len(losses)
+            result.counters["mlm_skipped"] = skipped
 
-    state = AdamState(model.parameters(), lr=config.lr)
-    best_state = model.state_dict()
-    best_val = None
-    stale = 0
-    for epoch in range(config.max_epochs):
-        started = time.perf_counter()
-        try:
+        state = AdamState(model.parameters(), lr=config.lr)
+        best_state = model.state_dict()
+        best_val = None
+        stale = 0
+        for epoch in range(config.max_epochs):
+            stage = f"at epoch {epoch}"
+            started = time.perf_counter()
             if not train_epoch(model, state, train_mols, config.batch_size,
                                seed, epoch):
-                return failure(f"non-finite loss at epoch {epoch}", epoch)
+                return failure(f"non-finite loss {stage}")
             val_metric = evaluate(model, valid_mols, task)
-        except FloatingPointError as exc:
-            return failure(f"non-finite value at epoch {epoch}: {exc}", epoch)
-        result.val_history.append(val_metric)
-        result.epoch_times.append(time.perf_counter() - started)
-        better = best_val is None or (
-            val_metric > best_val if task.higher_is_better else val_metric < best_val
-        )
-        if better:
-            best_val = val_metric
-            best_state = model.state_dict()
-            result.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-        if stale >= config.patience:
-            break
-    result.epochs_run = len(result.val_history)
-    result.best_val_metric = best_val if best_val is not None else math.nan
-    model.load_state_dict(best_state)
-    try:
+            result.val_history.append(val_metric)
+            result.epoch_times.append(time.perf_counter() - started)
+            better = best_val is None or (
+                val_metric > best_val if task.higher_is_better
+                else val_metric < best_val
+            )
+            if better:
+                best_val = val_metric
+                best_state = model.state_dict()
+                result.best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+            if stale >= config.patience:
+                break
+        result.best_val_metric = best_val if best_val is not None else math.nan
+        model.load_state_dict(best_state)
+        stage = "in test evaluation"
         result.test_metric = evaluate(model, test_mols, task)
     except FloatingPointError as exc:
-        return failure(
-            f"non-finite value in test evaluation: {exc}", result.epochs_run
-        )
+        return failure(f"non-finite value {stage}: {exc}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(
@@ -552,9 +547,7 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
     seed = config.seeds[0]
     task = TaskKind(config.task)
     data = load_csv(config.dataset, config.smiles_column, config.label_column, task)
-    train_recs, _, _ = split(data.records, SplitSpec(config.ratios, seed))
-    vocab = Vocabulary.build(r.smiles for r in train_recs)
-    train_mols, _, _ = prepare_molecules(train_recs, vocab, config.max_len)
+    _, vocab, ((train_mols, _, _), _, _) = prepare_splits(config, data.records, seed)
 
     runners = {}
     for strategy in strategies:

@@ -196,7 +196,7 @@ def test_c4_neutrality_identities():
         tape, gb, constant(np.zeros((gb.num_nodes, 8)))
     )
     ref_tape = Tape(grad_enabled=False)
-    pooled, _ = model._mpnn_readout(ref_tape, gb)
+    pooled = model._mpnn_readout(ref_tape, gb)
     checks.append(
         np.array_equal(preds.values, model.head.forward(ref_tape, pooled).values)
     )

@@ -362,3 +362,16 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "lm-baseline" in out and "mpnn-baseline" in out
         assert "minor faults per epoch" in out
+
+    def test_max_len_that_empties_a_split_fails_as_train_does(
+            self, tiny_csv, tmp_path, capsys):
+        flags = ["--dataset", tiny_csv, "--seeds", "0"] + TINY_FLAGS + [
+            "--max-len", "1"]
+        errors = []
+        for command in (["train", "--out", str(tmp_path / "out")],
+                        ["profile", "--profile-strategies", "lm-baseline",
+                         "--epochs", "1", "--warmup", "0"]):
+            assert main(command + flags) == EXIT_USAGE
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: max_len = 1: drops all ")
+        assert errors[1] == errors[0]

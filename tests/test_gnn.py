@@ -420,6 +420,8 @@ class TestInvariances:
 
     def test_t0_is_mean_projected_features(self):
         model = Mpnn(cfg(message_steps=0), np.random.default_rng(5))
+        # no forward reads the edge network or the update cell
+        assert [p.name for p in model.parameters()] == ["gnn.w_in", "gnn.b_in"]
         b = batch_of(["CCO"])
         tape = Tape(grad_enabled=False)
         out = model.readout(tape, model.run(tape, b), b).values

@@ -16,6 +16,7 @@ from molfuse.integration import (
     fuse,
     triplet_loss,
 )
+from molfuse.optim import AdamState
 from molfuse.smiles import Vocabulary, pack_batch, parse, tokenize
 from molfuse.training import RunConfig
 
@@ -293,7 +294,7 @@ class TestContrastStrategies:
         gb = GraphBatch.from_graphs([m.graph for m in mols])
         ref_tape = Tape()
         cls_rows, _ = model._lm_outputs(ref_tape, mols, want_nodes=False)
-        pooled, _ = model._mpnn_readout(ref_tape, gb)
+        pooled = model._mpnn_readout(ref_tape, gb)
         pred_loss = float(
             model._prediction_loss(
                 ref_tape, model.head.forward(ref_tape, cls_rows),
@@ -346,13 +347,26 @@ class TestContrastStrategies:
         gnn_grads = [grads.get(p.node_id) for p in model.gnn.parameters()]
         assert all(g is None or not g.any() for g in gnn_grads)
 
-    @pytest.mark.parametrize("strategy", ["contrast-node", "contrast-graph"])
+    @pytest.mark.parametrize(
+        "strategy", [s for s in STRATEGIES if s != "lm-baseline"])
     def test_frozen_mpnn_stays_off_the_tape(self, strategy):
         model = tiny_model(strategy, frozen_mpnn=True)
         tape = Tape()
         model.forward_batch(tape, mols_for(["CCO", "C1CC1"]), batch_seed=3)
         gnn_ids = {p.node_id for p in model.gnn.parameters()}
         assert gnn_ids and not gnn_ids & set(tape.watched)
+        stepped = {p.node_id for p in AdamState(model.parameters()).params}
+        assert not gnn_ids & stepped
+
+    def test_encoder_trains_through_a_frozen_lm2mpnn_message_passer(self):
+        # the injected encoder rows are recorded through the frozen steps
+        model = tiny_model("lm2mpnn", frozen_mpnn=True)
+        tape = Tape()
+        loss, _, _ = model.forward_batch(
+            tape, mols_for(["CCO", "C1CC1"]), batch_seed=3)
+        grads = backward(loss, tape)
+        embedding = model.encoder.token_embedding
+        assert grads[embedding.node_id].any()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -494,7 +508,7 @@ class TestLm2Mpnn:
             tape, gb, constant(np.zeros((gb.num_nodes, 8)))
         )
         ref_tape = Tape(grad_enabled=False)
-        pooled, _ = model._mpnn_readout(ref_tape, gb)
+        pooled = model._mpnn_readout(ref_tape, gb)
         ref = model.head.forward(ref_tape, pooled)
         np.testing.assert_array_equal(preds.values, ref.values)
 

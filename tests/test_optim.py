@@ -67,6 +67,18 @@ def test_zeros_allocated_only_for_absent_entries(monkeypatch):
     assert allocated == [(4,)]
 
 
+def test_parameter_needing_no_gradient_is_not_stepped():
+    trained = parameter(np.ones(2))
+    frozen = parameter(np.array([1.5, -2.0]))
+    frozen.requires_grad = False
+    state = AdamState([trained, frozen])
+    assert state.params == [trained]
+    assert set(state.m) == set(state.v) == {trained.node_id}
+    adam_step(state, {trained.node_id: np.ones(2), frozen.node_id: np.ones(2)})
+    np.testing.assert_array_equal(frozen.values, [1.5, -2.0])
+    assert (trained.values < 1.0).all()
+
+
 def test_shape_mismatch_rejected():
     w = parameter(np.ones(3), name="w")
     state = AdamState([w])

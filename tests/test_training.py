@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from molfuse import training
+from molfuse import lm, training
 from molfuse.autodiff import Tape, backward, constant
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
@@ -312,6 +312,24 @@ class TestRunSeeds:
         assert result.failed and result.epochs_run == 0
         assert result.failure_reason == "non-finite loss at epoch 0"
         assert len(steps) == 1
+
+    def test_nan_in_mlm_pretraining_names_the_stage(self, tiny_csv, monkeypatch):
+        # a NaN written into the token embedding after the first MLM step
+        # reaches the embedding gather on the second
+        real_step = lm.adam_step
+
+        def poisoned(state, grads):
+            real_step(state, grads)
+            state.params[0].values[0, 0] = np.nan
+
+        monkeypatch.setattr(lm, "adam_step", poisoned)
+        _, result = train_one(
+            tiny_config(tiny_csv, mlm_pretrain=True, mlm_epochs=1), 0)
+        assert result.failed and result.epochs_run == 0
+        assert result.failure_reason == (
+            "non-finite value in MLM pretraining: "
+            "op 'gather-rows': NaN in input values"
+        )
 
 
 # Ten training steps of a small mpnn-baseline model on one fixed batch of

@@ -10,10 +10,11 @@ to 2, trains one seed with ``training.train_one`` and prints
 one line per strategy: the workload, the strategy, the test metric and
 the SHA-256 of the trained ``state_dict`` (parameter names and float64
 bytes, in name order). The configurations in ``EXTRA``, which no workload
-trains, run on ``small-graph-integration``'s inputs and config with their
-field overrides, so all seven wirings are covered, as are the frozen
-message passer and a message passer with no message step. A line with
-overrides names them after the strategy, as ``strategy+field=value``.
+trains, run on the inputs and the first config of the workload they are
+listed under, with their field overrides, so all seven wirings are
+covered, as are the frozen message passer and a message passer with no
+message step. A line with overrides names them after the strategy, as
+``strategy+field=value``.
 ``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
 script), so two checkouts compare with one ``diff`` of the outputs.
@@ -30,16 +31,22 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 3
 EPOCHS = 2
 # (strategy, field overrides) no workload trains, hashed on one workload's
-# inputs and config; message_steps=0 leaves the update cell off the tape, so
-# the optimizer steps its parameters with zero gradients
-EXTRA = {"small-graph-integration": (
-    ("lm-baseline", {}),
-    ("contrast-graph", {}),
-    ("contrast-node", {"frozen_mpnn": True}),
-    ("contrast-graph", {"frozen_mpnn": True}),
-    ("contrast-node", {"message_steps": 0}),
-    ("contrast-graph", {"message_steps": 0}),
-)}
+# inputs and first config; frozen_mpnn keeps every message-passer weight at
+# its initial value, and message_steps=0 builds the input layer alone
+EXTRA = {
+    "small-graph-integration": (
+        ("lm-baseline", {}),
+        ("contrast-graph", {}),
+        ("contrast-node", {"frozen_mpnn": True}),
+        ("contrast-graph", {"frozen_mpnn": True}),
+        ("contrast-node", {"message_steps": 0}),
+        ("contrast-graph", {"message_steps": 0}),
+        ("lm2mpnn", {"frozen_mpnn": True}),
+    ),
+    "large-graph-pretrained-fusion": (
+        ("late-fusion", {"frozen_mpnn": True}),
+    ),
+}
 
 
 def state_hash(state):
