@@ -53,7 +53,8 @@ class Tensor:
     ``values`` is a float64 ndarray (row-major) and ``node_id`` is unique
     per tensor; gradients live only in the dict :func:`backward` returns.
     ``checked`` caches the finiteness check so each buffer is scanned once;
-    code that mutates ``values`` in place (the optimizer) resets it.
+    code that mutates ``values`` in place (the optimizer, a state load)
+    resets it.
     """
 
     __slots__ = ("values", "node_id", "requires_grad", "name", "checked")
@@ -591,18 +592,17 @@ def _op_segment_mean(inputs, kw):
 def _op_typed_edge_message(inputs, kw):
     """Edge-conditioned messages m[dst[e]] += A_type(e) @ h[src[e]].
 
-    a_types holds one flattened (w x w) matrix per edge type; ``order``
-    lists edge ids grouped by type with ``bounds`` delimiting the groups.
-    The source rows are gathered once in type order, each type's messages
-    are one BLAS matmul into a shared (E x w) buffer, and one scatter-add
-    sums the buffer into the destinations, in ``order``. The backward pass
+    a_types holds one flattened (w x w) matrix per edge type; ``src`` and
+    ``dst`` list the edges grouped by type, with ``bounds`` delimiting the
+    groups. The source rows are gathered once, each type's messages are
+    one BLAS matmul into a shared (E x w) buffer, and one scatter-add sums
+    the buffer into the destinations, in edge order. The backward pass
     mirrors it with one scatter-add into the sources.
     """
     _require_arity("typed-edge-message", inputs, 2)
     a_types, h = inputs
     src = np.asarray(kw["src"], dtype=np.int64)
     dst = np.asarray(kw["dst"], dtype=np.int64)
-    order = np.asarray(kw["order"], dtype=np.int64)
     bounds = np.asarray(kw["bounds"], dtype=np.int64)
     w = h.shape[1] if h.values.ndim == 2 else 0
     num_types = len(bounds) - 1
@@ -611,7 +611,7 @@ def _op_typed_edge_message(inputs, kw):
         or a_types.values.ndim != 2
         or a_types.shape != (num_types, w * w)
         or len(src) != len(dst)
-        or len(order) != len(src)
+        or bounds[-1] != len(src)
     ):
         raise ShapeError("typed-edge-message", a_types.shape, h.shape)
     n = h.shape[0]
@@ -623,34 +623,32 @@ def _op_typed_edge_message(inputs, kw):
     # the type matrices' gradient reads h, the states' gradient reads them
     ka, kh = _kept(a_types, ih), _kept(h, ia)
     mats = a_types.values.reshape(num_types, w, w)
-    src_by_type = src[order]
-    dst_by_type = dst[order]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    h_src = h.values[src_by_type]
+    h_src = h.values[src]
     msgs = np.empty_like(h_src)
-    for k, (lo, hi) in enumerate(spans):
+    for k in range(num_types):
+        lo, hi = bounds[k], bounds[k + 1]
         np.matmul(h_src[lo:hi], mats[k].T, out=msgs[lo:hi])
-    out = kernels.scatter_add_into(
-        np.zeros((n, w), dtype=np.float64), msgs, dst_by_type
-    )
+    out = kernels.scatter_add_into(np.zeros((n, w), dtype=np.float64), msgs, dst)
 
     def bwd(g, acc):
         # gathered again rather than kept, so the tape holds no (E x w) rows
-        g_dst = np.ascontiguousarray(g)[dst_by_type]
+        g_dst = np.ascontiguousarray(g)[dst]
         if ia is not None:
-            h_src = kh.values[src_by_type]
+            h_src = kh.values[src]
             grad_a = np.zeros((num_types, w * w), dtype=np.float64)
-            for k, (lo, hi) in enumerate(spans):
+            for k in range(num_types):
+                lo, hi = bounds[k], bounds[k + 1]
                 grad_a[k] = (g_dst[lo:hi].T @ h_src[lo:hi]).reshape(-1)
             del h_src  # so ``back`` below can take its place in the heap
             acc(ia, grad_a)
         if ih is not None:
             mats = ka.values.reshape(num_types, w, w)
             back = np.empty_like(g_dst)
-            for k, (lo, hi) in enumerate(spans):
+            for k in range(num_types):
+                lo, hi = bounds[k], bounds[k + 1]
                 np.matmul(g_dst[lo:hi], mats[k], out=back[lo:hi])
             acc(ih, kernels.scatter_add_into(
-                np.zeros((n, w), dtype=np.float64), back, src_by_type
+                np.zeros((n, w), dtype=np.float64), back, src
             ))
 
     return out, bwd
@@ -900,12 +898,11 @@ def _trial_inputs(kind, shape, rng, trial=0):
         src = rng.integers(0, n, size=num_edges)
         dst = rng.integers(0, n, size=num_edges)
         type_idx = rng.integers(0, num_types, size=num_edges)
-        order = np.argsort(type_idx, kind="stable")
         counts = np.bincount(type_idx, minlength=num_types)
         bounds = np.concatenate([[0], np.cumsum(counts)])
         return (
             [rand((num_types, d * d)), rand((n, d))],
-            {"src": src, "dst": dst, "order": order, "bounds": bounds},
+            {"src": src, "dst": dst, "bounds": bounds},
         )
     if kind == "p-norm-of-difference":
         a, b = rand((n, d)), rand((n, d))

@@ -3,12 +3,11 @@
 Messages flow in both orientations of every bond: a per-edge matrix built
 from the bond features multiplies the neighbor state, and contributions
 are scatter-added per destination node. The node update is a gated
-recurrent cell (a plain two-layer perceptron is available behind
-``update_kind`` for ablations). Batches concatenate graphs with boundary
-offsets instead of padding; readout is the mean over each graph's block.
-Both variants read their sizes from a :class:`molfuse.training.RunConfig`:
-``gnn_variant``, ``hidden_dim``, ``message_steps``, ``update_kind`` and
-``edge_hidden`` for the message passer, ``graphconv_layers`` for GraphConv.
+recurrent cell. Batches concatenate graphs with boundary offsets instead
+of padding; readout is the mean over each graph's block. Both variants
+read their sizes from a :class:`molfuse.training.RunConfig`:
+``gnn_variant`` and ``hidden_dim``, plus ``message_steps`` and
+``edge_hidden`` for the message passer; GraphConv is always two layers.
 With ``message_steps = 0`` the message passer builds its input layer
 alone: no forward would read an edge network or an update cell.
 """
@@ -20,7 +19,6 @@ from .lm import xavier
 from .smiles import EDGE_FEATURE_DIM, NODE_FEATURE_DIM
 
 GNN_VARIANTS = ("mpnn", "graphconv")
-UPDATE_KINDS = ("gru", "mlp")
 
 
 class GraphBatch:
@@ -106,18 +104,12 @@ class Mpnn:
         self.be1 = build("edge.b1", np.zeros(eh))
         self.we2 = build("edge.w2", xavier(rng, eh, w * w))
         self.be2 = build("edge.b2", np.zeros(w * w))
-        if config.update_kind == "gru":
-            self.wz = build("cell.wz", xavier(rng, 2 * w, w))
-            self.bz = build("cell.bz", np.zeros(w))
-            self.wr = build("cell.wr", xavier(rng, 2 * w, w))
-            self.br = build("cell.br", np.zeros(w))
-            self.wm = build("cell.wm", xavier(rng, w, w))
-            self.wh = build("cell.wh", xavier(rng, w, w))
-        else:
-            self.wu1 = build("cell.wu1", xavier(rng, 2 * w, w))
-            self.bu1 = build("cell.bu1", np.zeros(w))
-            self.wu2 = build("cell.wu2", xavier(rng, w, w))
-            self.bu2 = build("cell.bu2", np.zeros(w))
+        self.wz = build("cell.wz", xavier(rng, 2 * w, w))
+        self.bz = build("cell.bz", np.zeros(w))
+        self.wr = build("cell.wr", xavier(rng, 2 * w, w))
+        self.br = build("cell.br", np.zeros(w))
+        self.wm = build("cell.wm", xavier(rng, w, w))
+        self.wh = build("cell.wh", xavier(rng, w, w))
         if w != d:
             self.w_proj = build("w_proj", xavier(rng, w, d))
             self.b_proj = build("b_proj", np.zeros(d))
@@ -142,24 +134,18 @@ class Mpnn:
         per unique bond feature row and applied per type via BLAS."""
         unique, order, bounds = edge_types(batch.edge_features)
         a_types = self._edge_mlp(tape, constant(unique))
-        src, dst = batch.edge_src, batch.edge_dst
+        src, dst = batch.edge_src[order], batch.edge_dst[order]
 
         def message_fn(t, states):
             return t.apply(
                 "typed-edge-message", a_types, states,
-                src=src, dst=dst, order=order, bounds=bounds,
+                src=src, dst=dst, bounds=bounds,
             )
 
         return message_fn
 
     def update(self, tape, states, messages):
         """Gated update: h' = (1 - z) * h + z * tanh(Wm m + Wh (r * h))."""
-        if self.config.update_kind == "mlp":
-            joint = tape.apply("concat-last-axis", states, messages)
-            hidden = tape.apply(
-                "relu", tape.apply("matmul", joint, self.wu1, self.bu1)
-            )
-            return tape.apply("matmul", hidden, self.wu2, self.bu2)
         joint = tape.apply("concat-last-axis", states, messages)
         z = tape.apply("sigmoid", tape.apply("matmul", joint, self.wz, self.bz))
         r = tape.apply("sigmoid", tape.apply("matmul", joint, self.wr, self.br))
@@ -207,16 +193,15 @@ class GraphConv:
     """Two stacked h' = relu(W_self h + W_nbr sum_neighbors h_u + b) layers."""
 
     def __init__(self, config, rng):
-        self.config = config
         d = config.hidden_dim
-        widths = [NODE_FEATURE_DIM] + [d] * config.graphconv_layers
-        self.layers = []
-        for n in range(config.graphconv_layers):
-            self.layers.append({
-                "w_self": parameter(xavier(rng, widths[n], d), f"gc.{n}.w_self"),
-                "w_nbr": parameter(xavier(rng, widths[n], d), f"gc.{n}.w_nbr"),
+        self.layers = [
+            {
+                "w_self": parameter(xavier(rng, width, d), f"gc.{n}.w_self"),
+                "w_nbr": parameter(xavier(rng, width, d), f"gc.{n}.w_nbr"),
                 "b": parameter(np.zeros(d), f"gc.{n}.b"),
-            })
+            }
+            for n, width in enumerate((NODE_FEATURE_DIM, d))
+        ]
 
     def parameters(self):
         out = []

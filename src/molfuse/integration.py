@@ -5,13 +5,13 @@ graph-level contrastive supervision of the token encoder, late fusion of
 the two graph embeddings, and the two joint fusions (message-passer
 states injected into the encoder input, or encoder token outputs injected
 into every message-passing step). Both contrast levels draw negatives
-through :func:`build_triples`: node-level negatives come from seeded
-within-graph derangements by default (cross-graph sampling sits behind a
-flag), and graph-level negatives are one derangement of the batch, each
-graph counted as one node. ``IntegratedModel`` takes one
+through :func:`build_triples` and weigh their triplet term by ``alpha``:
+node-level negatives come from seeded within-graph derangements, and
+graph-level negatives are one derangement of the batch, each graph
+counted as one node. ``IntegratedModel`` takes one
 :class:`molfuse.training.RunConfig` and hands it to both components, so
-they share one ``hidden_dim``; the strategy, fusion op, task and contrast
-weights come from the same object.
+they share one ``hidden_dim``; the strategy, fusion op, task, contrast
+weight and margin come from the same object.
 """
 
 from dataclasses import dataclass
@@ -329,12 +329,10 @@ class IntegratedModel:
         loss = self._prediction_loss(tape, preds, labels)
         if strategy == "contrast-node":
             anchors, positives = lm_nodes, self.gnn.run(tape, gb)
-            offsets, cross_graph = gb.offsets, config.cross_graph_negatives
-            weight = config.alpha
+            offsets, cross_graph = gb.offsets, False
         elif strategy == "contrast-graph":
             anchors, positives = cls_rows, self._mpnn_readout(tape, gb)
             offsets, cross_graph = np.arange(len(mols) + 1), True
-            weight = config.alpha_graph
         else:
             return loss, preds, info
         triples = build_triples(
@@ -342,7 +340,7 @@ class IntegratedModel:
         )
         info["skipped_triples"] = triples.skipped
         trip = triplet_loss(tape, anchors, positives, triples, config.margin)
-        scaled = tape.apply("multiply", constant(weight), trip)
+        scaled = tape.apply("multiply", constant(config.alpha), trip)
         return tape.apply("add", loss, scaled), preds, info
 
     def predict(self, mols):
@@ -367,3 +365,4 @@ class IntegratedModel:
             )
         for p in params:
             p.values[:] = state[p.name]
+            p.checked = False  # the loaded values are scanned at next use

@@ -23,7 +23,7 @@ from .data import (
     naive_baseline,
     split,
 )
-from .gnn import GNN_VARIANTS, UPDATE_KINDS
+from .gnn import GNN_VARIANTS
 from .integration import FUSION_OPS, STRATEGIES, EncodedMolecule, IntegratedModel
 from .lm import run_mlm_pretraining
 from .optim import AdamState, adam_step
@@ -52,14 +52,13 @@ CHOICES = {
     "task": TASK_KINDS,
     "fusion": FUSION_OPS,
     "gnn_variant": GNN_VARIANTS,
-    "update_kind": UPDATE_KINDS,
 }
 # the least value of each integer RunConfig field: a count of layers,
 # message steps or MLM epochs may be 0, every other size must be >= 1
 FLOORS = {
     "batch_size": 1, "max_epochs": 1, "patience": 1, "hidden_dim": 1,
     "num_layers": 0, "num_heads": 1, "ffn_dim": 1, "max_len": 1,
-    "message_steps": 0, "graphconv_layers": 0, "edge_hidden": 1,
+    "message_steps": 0, "edge_hidden": 1,
     "mlm_epochs": 0, "workers": 1,
 }
 
@@ -85,7 +84,6 @@ class RunConfig:
     patience: int = 10
     fusion: str = "sum"
     alpha: float = 0.1
-    alpha_graph: float = 0.1
     margin: float = 1.0
     hidden_dim: int = 64
     num_layers: int = 3
@@ -94,14 +92,11 @@ class RunConfig:
     max_len: int = 256
     gnn_variant: str = "mpnn"
     message_steps: int = 3
-    graphconv_layers: int = 2
-    update_kind: str = "gru"
     edge_hidden: int = 64
     mlm_pretrain: bool = False
     mlm_epochs: int = 3
     mlm_rate: float = 0.15
     frozen_mpnn: bool = False
-    cross_graph_negatives: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -121,11 +116,7 @@ class RunConfig:
         check("lr", self.lr > 0, "must be > 0")
         check("margin", self.margin > 0, "must be > 0")
         check("alpha", self.alpha >= 0, "must be >= 0")
-        check("alpha_graph", self.alpha_graph >= 0, "must be >= 0")
         check("mlm_rate", 0 <= self.mlm_rate <= 1, "must be in [0, 1]")
-        check("graphconv_layers",
-              self.gnn_variant != "graphconv" or self.graphconv_layers >= 1,
-              "must be >= 1 for the graphconv variant")
         check("hidden_dim", self.hidden_dim % self.num_heads == 0,
               f"not divisible by num_heads = {self.num_heads}")
         if not self.label_column:

@@ -214,7 +214,7 @@ def test_c4_neutrality_identities():
     )
     checks.append(float(total.values) == float(ref_loss.values))
 
-    graph_model = tiny_model("contrast-graph", seed=3, alpha_graph=0.0)
+    graph_model = tiny_model("contrast-graph", seed=3, alpha=0.0)
     baseline = tiny_model("lm-baseline", seed=3)
     mols = mols_for(["CCO", "CC(=O)O"], [0.1, 0.9])
     loss_g, _, _ = graph_model.forward_batch(Tape(), mols, batch_seed=1)

@@ -174,9 +174,8 @@ class TestConfigFile:
         (["--mlm-rate", "1.5"], "mlm_rate"),
         (["--margin", "0"], "margin"),
         (["--alpha", "-0.5"], "alpha"),
-        (["--alpha-graph", "-0.5"], "alpha_graph"),
-        (["--gnn-variant", "graphconv", "--graphconv-layers", "0"],
-         "graphconv_layers"),
+        (["--lr", "0"], "lr"),
+        (["--patience", "0"], "patience"),
         (["--seeds", "-1"], "seeds"),
         (["--ratios", "1:0:0"], "ratios"),
     ])
@@ -186,7 +185,7 @@ class TestConfigFile:
         assert err.startswith(f"error: {key} = ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "key", ["mlm_pretrain", "frozen_mpnn", "cross_graph_negatives"])
+        "key", ["mlm_pretrain", "frozen_mpnn"])
     def test_bool_flag_beats_the_file_both_ways(self, tmp_path, key):
         flag = key.replace("_", "-")
         cfg_file = tmp_path / "run.cfg"
@@ -216,6 +215,31 @@ class TestConfigFile:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("nonsense = 1\n")
         assert main(["train", "--config", str(cfg_file)]) == EXIT_USAGE
+
+    # options of earlier versions, whose settings no longer exist
+    REMOVED = [
+        ("update_kind", "mlp"),
+        ("cross_graph_negatives", "true"),
+        ("alpha_graph", "0.2"),
+        ("graphconv_layers", "3"),
+    ]
+
+    @pytest.mark.parametrize("key, value", REMOVED)
+    def test_removed_flag_is_a_usage_error(self, capsys, key, value):
+        flag = "--" + key.replace("_", "-")
+        argv = [flag] if value == "true" else [flag, value]
+        assert main(["train", *argv]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", REMOVED)
+    def test_removed_key_in_a_file_is_a_usage_error(
+            self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        valid = ", ".join(f.name for f in dataclasses.fields(RunConfig))
+        assert f"unknown key '{key}'; valid keys: {valid}" in err
 
 
 class TestTrainCommand:

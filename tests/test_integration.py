@@ -254,8 +254,8 @@ class TestContrastStrategies:
         assert float(total.values) == float(ref_loss.values)
         np.testing.assert_array_equal(preds.values, ref_preds.values)
 
-    def test_alpha_graph_zero_equals_lm_baseline_bitwise(self):
-        contrast = tiny_model("contrast-graph", seed=3, alpha_graph=0.0)
+    def test_graph_alpha_zero_equals_lm_baseline_bitwise(self):
+        contrast = tiny_model("contrast-graph", seed=3, alpha=0.0)
         baseline = tiny_model("lm-baseline", seed=3)
         mols = mols_for(["CCO", "CC(=O)O", "C#N"], [0.1, 0.2, 0.3])
         loss_c, preds_c, _ = contrast.forward_batch(Tape(), mols, batch_seed=1)
@@ -287,7 +287,7 @@ class TestContrastStrategies:
         assert float(total.values) == pytest.approx(pred_loss + 0.1 * trip, rel=1e-12)
 
     def test_graph_batch_of_two_uses_swap(self):
-        model = tiny_model("contrast-graph", alpha_graph=0.5)
+        model = tiny_model("contrast-graph", alpha=0.5)
         mols = mols_for(["CCO", "C1CC1"], [0.0, 1.0])
         tape = Tape()
         total, preds, info = model.forward_batch(tape, mols, batch_seed=2)
@@ -566,7 +566,7 @@ class TestAllStrategiesOnCorpus:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_finite_loss_and_gradients_everywhere(self, strategy, corpus_smiles):
         model = tiny_model(
-            strategy, task="binary-classification", alpha=0.2, alpha_graph=0.2
+            strategy, task="binary-classification", alpha=0.2
         )
         for lo in range(0, len(corpus_smiles), 4):
             chunk = corpus_smiles[lo:lo + 4]
@@ -624,3 +624,15 @@ class TestLoadStateDict:
             model.load_state_dict(state)
         assert "missing ['lm.0.wqkv']" in str(exc.value)
         assert "unexpected ['lm.0.wq0']" in str(exc.value)
+
+    def test_loaded_nan_fails_a_model_that_already_ran(self):
+        # the first forward marks every weight as scanned; a load replaces
+        # the values, so they must be scanned again
+        mols = mols_for(["CCO", "C1CC1"])
+        model = tiny_model("lm-baseline")
+        model.predict(mols)
+        state = model.state_dict()
+        state["head.w2"][0, 0] = np.nan
+        model.load_state_dict(state)
+        with pytest.raises(FloatingPointError, match="NaN in input values"):
+            model.predict(mols)

@@ -536,14 +536,15 @@ class TestRunConfig:
         ({"task": "x"}, "task"),
         ({"strategy": "lm"}, "strategy"),
         *[({name: floor - 1}, name) for name, floor in FLOORS.items()],
+        ({"fusion": "mean"}, "fusion"),
         ({"lr": 0.0}, "lr"),
         ({"margin": 0.0}, "margin"),
         ({"alpha": -0.1}, "alpha"),
-        ({"alpha_graph": -0.1}, "alpha_graph"),
+        ({"gnn_variant": "gat"}, "gnn_variant"),
         ({"mlm_rate": -0.1}, "mlm_rate"),
         ({"mlm_rate": 1.1}, "mlm_rate"),
         ({"hidden_dim": 30}, "hidden_dim"),
-        ({"gnn_variant": "graphconv", "graphconv_layers": 0}, "graphconv_layers"),
+        ({"seeds": ()}, "seeds"),
         ({"seeds": (0, -1)}, "seeds"),
         ({"ratios": (1.0, 0.0, 0.0)}, "ratios"),
         ({"ratios": (0.5, 0.2, 0.2)}, "ratios"),
@@ -553,8 +554,8 @@ class TestRunConfig:
             RunConfig(**overrides)
 
     def test_zero_counts_and_weights_are_valid(self):
-        RunConfig(num_layers=0, message_steps=0, graphconv_layers=0,
-                  mlm_epochs=0, mlm_rate=0.0, alpha=0.0, alpha_graph=0.0)
+        RunConfig(num_layers=0, message_steps=0, mlm_epochs=0, mlm_rate=0.0,
+                  alpha=0.0)
         RunConfig(mlm_rate=1.0, hidden_dim=1, num_heads=1)
 
 
@@ -573,9 +574,6 @@ STRUCTURE_FIELDS = [
     ("max_len", 48, {}),
     ("gnn_variant", "graphconv", {"strategy": "mpnn-baseline"}),
     ("edge_hidden", 5, {"strategy": "mpnn-baseline"}),
-    ("update_kind", "mlp", {"strategy": "mpnn-baseline"}),
-    ("graphconv_layers", 3,
-     {"strategy": "mpnn-baseline", "gnn_variant": "graphconv"}),
     ("fusion", "concat", {"strategy": "late-fusion"}),
     ("fusion", "gate", {"strategy": "late-fusion"}),
 ]
@@ -585,8 +583,6 @@ LOSS_FIELDS = [
     ("message_steps", 3, {"strategy": "mpnn-baseline"}),
     ("margin", 3.0, {"strategy": "contrast-node"}),
     ("alpha", 0.5, {"strategy": "contrast-node"}),
-    ("alpha_graph", 0.5, {"strategy": "contrast-graph"}),
-    ("cross_graph_negatives", True, {"strategy": "contrast-node"}),
     ("frozen_mpnn", True, {"strategy": "contrast-node"}),
 ]
 

@@ -12,8 +12,9 @@ the SHA-256 of the trained ``state_dict`` (parameter names and float64
 bytes, in name order). The configurations in ``EXTRA``, which no workload
 trains, run on the inputs and the first config of the workload they are
 listed under, with their field overrides, so all seven wirings are
-covered, as are the frozen message passer and a message passer with no
-message step. A line with overrides names them after the strategy, as
+covered, as are the frozen message passer, a message passer with no
+message step, the two-layer GraphConv variant and the gate and max
+fusion ops. A line with overrides names them after the strategy, as
 ``strategy+field=value``.
 ``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
@@ -32,7 +33,8 @@ SEED = 3
 EPOCHS = 2
 # (strategy, field overrides) no workload trains, hashed on one workload's
 # inputs and first config; frozen_mpnn keeps every message-passer weight at
-# its initial value, and message_steps=0 builds the input layer alone
+# its initial value, message_steps=0 builds the input layer alone, and the
+# late-fusion lines train GraphConv and the fusion ops no workload uses
 EXTRA = {
     "small-graph-integration": (
         ("lm-baseline", {}),
@@ -42,6 +44,9 @@ EXTRA = {
         ("contrast-node", {"message_steps": 0}),
         ("contrast-graph", {"message_steps": 0}),
         ("lm2mpnn", {"frozen_mpnn": True}),
+        ("late-fusion", {"gnn_variant": "graphconv"}),
+        ("late-fusion", {"fusion": "gate"}),
+        ("late-fusion", {"fusion": "max"}),
     ),
     "large-graph-pretrained-fusion": (
         ("late-fusion", {"frozen_mpnn": True}),
