@@ -52,19 +52,18 @@ class Tensor:
 
     ``values`` is a float64 ndarray (row-major) and ``node_id`` is unique
     per tensor; gradients live only in the dict :func:`backward` returns.
-    ``checked`` caches the finiteness check so each buffer is scanned once;
-    code that mutates ``values`` in place (the optimizer, a state load)
-    resets it.
+    The ``__dict__`` slot lets a caller set attributes of its own: the
+    benchmark's gradient check (``perfbench/checks.py``) still resets a
+    per-tensor scan mark that the tape no longer keeps.
     """
 
-    __slots__ = ("values", "node_id", "requires_grad", "name", "checked")
+    __slots__ = ("values", "node_id", "requires_grad", "name", "__dict__")
 
     def __init__(self, values, requires_grad=False, name=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.node_id = next(_node_ids)
         self.requires_grad = requires_grad
         self.name = name
-        self.checked = False
 
     @property
     def shape(self):
@@ -93,9 +92,16 @@ class Tape:
     With ``grad_enabled=False`` the tape validates and computes but records
     nothing (used for evaluation passes). :func:`backward` consumes the
     tape; it cannot be walked twice.
+
+    By default no op scans its inputs for NaN or inf: a caller tests the
+    one result it needs (a loss, the predictions) and, when that is not
+    finite, replays the same computation on a ``check=True`` tape, whose
+    ``apply`` raises ``FloatingPointError`` naming the first op kind that
+    receives a NaN or an infinite input.
     """
 
     grad_enabled: bool = True
+    check: bool = False
     records: list = field(default_factory=list)
     watched: dict = field(default_factory=dict)  # node_id -> leaf Tensor
     produced: set = field(default_factory=set, repr=False)  # record output ids
@@ -105,17 +111,16 @@ class Tape:
         op = _OPS.get(kind)
         if op is None:
             raise KeyError(f"unknown op kind '{kind}'")
-        for t in inputs:
-            if t.checked:
-                continue
-            # cheap fail-fast test: the sum of finite values is finite
-            # unless it overflows, so only a non-finite sum needs a scan
-            if not math.isfinite(t.values.sum()):
-                if np.isnan(t.values).any():
-                    raise FloatingPointError(f"op '{kind}': NaN in input values")
-                if not np.isfinite(t.values).all():
-                    raise FloatingPointError(f"op '{kind}': non-finite input values")
-            t.checked = True
+        if self.check:
+            for t in inputs:
+                # cheap fail-fast test: the sum of finite values is finite
+                # unless it overflows, so only a non-finite sum needs a scan
+                if not math.isfinite(t.values.sum()):
+                    if np.isnan(t.values).any():
+                        raise FloatingPointError(f"op '{kind}': NaN in input values")
+                    if not np.isfinite(t.values).all():
+                        raise FloatingPointError(
+                            f"op '{kind}': non-finite input values")
         out_values, backward_fn = op(inputs, kwargs)
         track = self.grad_enabled and any(t.requires_grad for t in inputs)
         out = Tensor(out_values, requires_grad=track)
@@ -366,9 +371,12 @@ def _op_sigmoid(inputs, kw):
     x = inputs[0]
     ix = x.node_id
     v = x.values
-    e = np.exp(-np.abs(v))  # in (0, 1]: never overflows
+    e = np.exp(-np.abs(v))  # in [0, 1]: never overflows
     denom = 1.0 + e
-    out = np.where(v >= 0, 1.0 / denom, e / denom)
+    # numerator 1 where v >= 0, else e: e <= 1 makes max(e, 1) exactly 1
+    # and max(e, 0) exactly e, so no select is needed
+    out = np.maximum(e, v >= 0)
+    out /= denom
 
     def bwd(g, acc):
         acc(ix, g * out * (1.0 - out))

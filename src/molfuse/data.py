@@ -9,7 +9,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .smiles import SmilesError, parse
+from .smiles import SmilesError, parse, tokenize_raw
 
 PROTOCOL_SEEDS = (0, 7, 42, 100, 2024)
 TASK_KINDS = ("regression", "binary-classification")
@@ -53,6 +53,12 @@ class DataRecord:
     row_index: int
     # the parsed graph, kept by load_csv so set-up parses each SMILES once
     graph: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def raw_tokens(self):
+        """The SMILES's ``tokenize_raw`` list: the one the kept graph was
+        parsed from, or a fresh scan for a record without a graph."""
+        return self.graph.tokens if self.graph is not None else tokenize_raw(self.smiles)
 
 
 @dataclass

@@ -46,22 +46,15 @@ class GraphBatch:
             raise ValueError("empty graph batch")
         sizes = [g.num_atoms for g in graphs]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        # (bonds x 2) endpoint pairs, shifted to the batch's node numbering
-        pairs = np.array(
-            [(b.u, b.v) for g in graphs for b in g.bonds], dtype=np.int64
-        ).reshape(-1, 2)
-        pairs += np.repeat(offsets[:-1], [g.num_bonds for g in graphs])[:, None]
-        bonded = [g.edge_features for g in graphs if g.bonds]
-        edge_features = (
-            np.concatenate(bonded, axis=0)
-            if bonded
-            else np.zeros((0, EDGE_FEATURE_DIM))
-        )
+        # the graphs' (bonds x 2) endpoint arrays, shifted to the batch's
+        # node numbering (concatenate copies, so no graph's array changes)
+        pairs = np.concatenate([g.bond_index for g in graphs])
+        pairs += np.repeat(offsets[:-1], [len(g.bond_index) for g in graphs])[:, None]
         return cls(
             np.concatenate([g.node_features for g in graphs], axis=0),
             pairs.reshape(-1),
             pairs[:, ::-1].reshape(-1),
-            np.repeat(edge_features, 2, axis=0),
+            np.repeat(np.concatenate([g.edge_features for g in graphs]), 2, axis=0),
             offsets,
         )
 

@@ -344,8 +344,20 @@ class IntegratedModel:
         return tape.apply("add", loss, scaled), preds, info
 
     def predict(self, mols):
-        """Raw predictions under a non-recording tape."""
-        tape = Tape(grad_enabled=False)
+        """Raw predictions under a non-recording tape.
+
+        The predictions are tested once: when one is NaN or infinite, the
+        batch is run again on a checking tape, which raises
+        ``FloatingPointError`` at the first op that receives a non-finite
+        input, or, if none does, here.
+        """
+        preds = self._predict_on(Tape(grad_enabled=False), mols)
+        if not np.isfinite(preds).all():
+            self._predict_on(Tape(grad_enabled=False, check=True), mols)
+            raise FloatingPointError("non-finite prediction")
+        return preds
+
+    def _predict_on(self, tape, mols):
         _, preds, _ = self.forward_batch(tape, mols, batch_seed=0, predict_only=True)
         return preds.values.reshape(-1)
 
@@ -365,4 +377,3 @@ class IntegratedModel:
             )
         for p in params:
             p.values[:] = state[p.name]
-            p.checked = False  # the loaded values are scanned at next use

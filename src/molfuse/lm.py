@@ -196,7 +196,9 @@ def mlm_pretrain_step(encoder, head, state, batch, mask_rate, seed=0):
     """Mask tokens, predict the originals, take one Adam step.
 
     Returns the scalar loss, or None when no token was maskable (the step
-    is skipped).
+    is skipped). A non-finite loss is not stepped: the masked batch runs
+    again on a checking tape, which raises ``FloatingPointError`` at the
+    first op that receives a NaN or inf, or, if none does, here.
     """
     rng = np.random.default_rng(seed)
     masked = []
@@ -213,11 +215,18 @@ def mlm_pretrain_step(encoder, head, state, batch, mask_rate, seed=0):
     ])
     targets = packed.token_ids[rows]
     packed.token_ids[rows] = Vocabulary.MASK
+
+    def mlm_loss(tape):
+        e_out = encoder.forward(tape, packed)
+        picked = tape.apply("gather-rows", e_out, indices=rows)
+        logits = tape.apply("matmul", picked, head.w, head.b)
+        return tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
+
     tape = Tape()
-    e_out = encoder.forward(tape, packed)
-    picked = tape.apply("gather-rows", e_out, indices=rows)
-    logits = tape.apply("matmul", picked, head.w, head.b)
-    loss = tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
+    loss = mlm_loss(tape)
+    if not np.isfinite(loss.values):
+        mlm_loss(Tape(grad_enabled=False, check=True))
+        raise FloatingPointError("non-finite MLM loss")
     adam_step(state, backward(loss, tape))
     return float(loss.values)
 

@@ -63,4 +63,3 @@ def adam_step(state, grads):
         np.multiply(state.lr, step, out=step)
         step /= denom
         p.values -= step
-        p.checked = False  # values changed; revalidate on next use

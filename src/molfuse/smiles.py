@@ -30,6 +30,14 @@ ELEMENTS = {
 AROMATIC_SYMBOLS = {"b", "c", "n", "o", "p", "s"}
 BOND_ORDERS = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5, "/": 1.0, "\\": 1.0}
 
+# the (token, is_atom) pair of every token with a fixed spelling, built
+# once: the lists tokenize_raw returns share them, so a graph that keeps
+# its list (MolecularGraph.tokens) holds one pointer per such token
+_FIXED_TOKENS = {
+    **{t: (t, True) for t in (*ELEMENTS, *AROMATIC_SYMBOLS)},
+    **{t: (t, False) for t in (*"0123456789()", *BOND_ORDERS)},
+}
+
 NODE_FEATURE_DIM = 9
 EDGE_FEATURE_DIM = 4
 
@@ -60,11 +68,20 @@ class Bond:
 
 @dataclass
 class MolecularGraph:
+    """Atoms and bonds, plus the arrays :func:`featurize` fills from them:
+    node and edge feature rows and ``bond_index``, the (bonds x 2) int64
+    endpoints (u, v) of every bond in bond order. ``tokens`` is the
+    :func:`tokenize_raw` list a graph built by :func:`parse` was read from,
+    kept so that set-up scans each SMILES string once.
+    """
+
     atoms: list
     bonds: list
     node_features: np.ndarray = None
     edge_features: np.ndarray = None
+    bond_index: np.ndarray = None
     warnings: list = field(default_factory=list)
+    tokens: list = field(default=None, repr=False)
 
     @property
     def num_atoms(self):
@@ -106,14 +123,13 @@ class Vocabulary:
     @classmethod
     def build(cls, smiles_iter):
         """Vocabulary over every token occurring in the given strings."""
-        seen = []
-        have = set()
-        for s in smiles_iter:
-            for tok, _ in tokenize_raw(s):
-                if tok not in have:
-                    have.add(tok)
-                    seen.append(tok)
-        return cls(seen)
+        return cls.from_token_lists(tokenize_raw(s) for s in smiles_iter)
+
+    @classmethod
+    def from_token_lists(cls, raw_lists):
+        """Vocabulary over every token of the given :func:`tokenize_raw`
+        lists, in order of first occurrence."""
+        return cls(tok for raw in raw_lists for tok, _ in raw)
 
 
 def _parse_bracket(token):
@@ -199,23 +215,17 @@ def tokenize_raw(smiles):
             out.append((token, True))
             i = j + 1
         elif smiles[i:i + 2] in ("Cl", "Br"):
-            out.append((smiles[i:i + 2], True))
+            out.append(_FIXED_TOKENS[smiles[i:i + 2]])
             i += 2
-        elif ch in ELEMENTS:
-            out.append((ch, True))
-            i += 1
-        elif ch in AROMATIC_SYMBOLS:
-            out.append((ch, True))
+        elif ch in _FIXED_TOKENS:
+            out.append(_FIXED_TOKENS[ch])
             i += 1
         elif ch == "%":
             if i + 2 >= n or not smiles[i + 1:i + 3].isdigit():
                 raise SmilesError(f"'%' needs two digits at position {i}")
             out.append((smiles[i:i + 3], False))
             i += 3
-        elif ch.isdigit() or ch in BOND_ORDERS or ch in "()":
-            out.append((ch, False))
-            i += 1
-        elif ch.isprintable() and not ch.isspace():
+        elif ch.isdigit() or (ch.isprintable() and not ch.isspace()):
             out.append((ch, False))
             i += 1
         else:
@@ -223,13 +233,15 @@ def tokenize_raw(smiles):
     return out
 
 
-def tokenize(smiles, vocab):
+def tokenize(smiles, vocab, raw=None):
     """TokenSequence with CLS prepended and atom positions collected.
 
     Tokens absent from the vocabulary map to the unknown id; atom tokens
-    keep their position in the alignment either way.
+    keep their position in the alignment either way. ``raw``, when given,
+    is the string's :func:`tokenize_raw` list, which is then not recomputed.
     """
-    raw = tokenize_raw(smiles)
+    if raw is None:
+        raw = tokenize_raw(smiles)
     token_ids = [Vocabulary.CLS]
     positions = []
     unk = 0
@@ -385,13 +397,15 @@ def parse(smiles):
         atoms[b.u].degree += 1
         atoms[b.v].degree += 1
     _mark_rings(atoms, bonds)
-    graph = MolecularGraph(atoms=atoms, bonds=bonds, warnings=warnings)
+    graph = MolecularGraph(atoms=atoms, bonds=bonds, warnings=warnings,
+                           tokens=raw)
     featurize(graph)
     return graph
 
 
 def featurize(graph):
-    """Fill the (num_atoms x 9) node and (num_bonds x 4) edge matrices.
+    """Fill the (num_atoms x 9) node and (num_bonds x 4) edge matrices and
+    the (num_bonds x 2) ``bond_index``.
 
     Node row: [atomic number / 100, degree, formal charge, H count,
     aromatic, in-ring, period, group, 0]. H count for non-bracket atoms is
@@ -431,6 +445,9 @@ def featurize(graph):
         ]
     graph.node_features = node
     graph.edge_features = edge
+    graph.bond_index = np.array(
+        [(b.u, b.v) for b in graph.bonds], dtype=np.int64
+    ).reshape(-1, 2)
     return node, edge
 
 

@@ -263,14 +263,14 @@ def evaluate(model, mols, task, batch_size=64):
 def prepare_molecules(records, vocab, max_len):
     """EncodedMolecule list; over-long sequences are dropped and counted.
 
-    A record's graph is reused when ``load_csv`` kept it; a record without
-    one is parsed here.
+    A record's graph, and the token list it was parsed from, are reused
+    when ``load_csv`` kept them; a record without a graph is parsed here.
     """
     mols = []
     dropped = 0
     unknown = 0
     for rec in records:
-        seq = tokenize(rec.smiles, vocab)
+        seq = tokenize(rec.smiles, vocab, rec.raw_tokens)
         if len(seq) > max_len:
             dropped += 1
             continue
@@ -288,7 +288,7 @@ def prepare_splits(config, records, seed):
     non-empty split.
     """
     splits = split(records, SplitSpec(config.ratios, seed))
-    vocab = Vocabulary.build(r.smiles for r in splits[0])
+    vocab = Vocabulary.from_token_lists(r.raw_tokens for r in splits[0])
     prepared = []
     for name, recs in zip(("train", "valid", "test"), splits):
         mols, dropped, unknown = prepare_molecules(recs, vocab, config.max_len)
@@ -353,11 +353,19 @@ def retain_heap():
 
 def train_epoch(model, state, mols, batch_size, seed, epoch):
     """Adam steps over ``mols`` in the epoch's seeded batch order; False at
-    the first non-finite loss, whose step is not taken."""
+    the first non-finite loss, whose step is not taken.
+
+    Before returning False, the batch runs again, with the same batch seed
+    and the weights not yet stepped, on a checking tape: a NaN or inf that
+    reached an op's input raises ``FloatingPointError`` naming the op kind.
+    """
     for b, batch in enumerate(batch_iter(mols, batch_size, _mix(seed, epoch))):
         tape = Tape()
-        loss, _, _ = model.forward_batch(tape, batch, batch_seed=_mix(seed, epoch, b))
+        batch_seed = _mix(seed, epoch, b)
+        loss, _, _ = model.forward_batch(tape, batch, batch_seed=batch_seed)
         if not np.isfinite(loss.values):
+            model.forward_batch(Tape(grad_enabled=False, check=True), batch,
+                                batch_seed=batch_seed)
             return False
         # no name holds the gradients, so they are freed before the next batch
         adam_step(state, backward(loss, tape))
@@ -369,10 +377,11 @@ def train_one(config, seed, out_dir=None, load_result=None):
 
     split -> (optional MLM stage) -> epoch loop with Adam -> early stop on
     the validation metric -> test metric from the best-validation
-    snapshot. A non-finite loss, or a NaN or inf reaching any op (which
-    the tape reports with the op kind), aborts the run and is recorded as
-    a failure of this seed only, its reason naming the stage: MLM
-    pretraining, an epoch or test evaluation.
+    snapshot. A non-finite loss or prediction aborts the run and is
+    recorded as a failure of this seed only, its reason naming the stage
+    (MLM pretraining, an epoch or test evaluation) and, when a NaN or inf
+    reached an op's input, that op's kind, found by replaying the batch on
+    a checking tape.
     """
     retain_heap()
     faults_before = minor_faults()

@@ -246,6 +246,7 @@ def test_c5_structural_invariances():
     for b_new, b_old in zip(permuted.bonds, graph.bonds):
         b_new.u, b_new.v = int(inv[b_old.u]), int(inv[b_old.v])
     permuted.node_features = graph.node_features[perm]
+    permuted.bond_index = inv[graph.bond_index]
 
     def readout_of(graphs, pick):
         gb = GraphBatch.from_graphs(graphs)

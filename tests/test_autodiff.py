@@ -6,6 +6,7 @@ from molfuse.autodiff import (
     ShapeError,
     Tape,
     Tensor,
+    _trial_inputs,
     backward,
     check_gradients,
     check_op_gradient,
@@ -13,6 +14,12 @@ from molfuse.autodiff import (
     fd_gradients,
     parameter,
 )
+
+
+# op kinds whose output can leave out an input element, and a NaN with it:
+# gather-rows reads only the rows it selects, typed-edge-message only the
+# source rows and the edge types its edges use
+NAN_DROPPING_KINDS = ("gather-rows", "typed-edge-message")
 
 
 def scalar(tape, t):
@@ -112,7 +119,7 @@ class TestErrors:
         assert "add" in msg and "(2,)" in msg and "(3,)" in msg
 
     def test_nan_rejected(self):
-        tape = Tape()
+        tape = Tape(check=True)
         with pytest.raises(FloatingPointError):
             tape.apply("relu", constant([np.nan, 1.0]))
 
@@ -120,14 +127,36 @@ class TestErrors:
     def test_lone_inf_rejected_with_op_kind(self, bad):
         with pytest.raises(FloatingPointError,
                            match="op 'relu': non-finite input values"):
-            Tape().apply("relu", constant([bad, 1.0]))
+            Tape(check=True).apply("relu", constant([bad, 1.0]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_finite_values_whose_sum_overflows_accepted(self):
         x = constant([1e308, 1e308])
-        out = Tape().apply("relu", x)
-        assert x.checked
+        out = Tape(check=True).apply("relu", x)
         np.testing.assert_array_equal(out.values, [1e308, 1e308])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_nan_input_reaches_the_output(self, kind):
+        # the default tape scans no input, so a NaN must surface where the
+        # one test of a loss or a prediction sees it; a kind that can drop
+        # input elements (NAN_DROPPING_KINDS) need only pass on an all-NaN input
+        rng = np.random.default_rng(5)
+        for trial, shape in enumerate([(3, 4), (1, 1), (2, 3), (4, 2)]):
+            tensors, kwargs = _trial_inputs(kind, shape, rng, trial)
+            for i in range(len(tensors)):
+                inputs = [constant(t.values.copy()) for t in tensors]
+                if kind in NAN_DROPPING_KINDS:
+                    inputs[i].values[...] = np.nan
+                else:
+                    inputs[i].values.flat[0] = np.nan
+                out = Tape().apply(kind, *inputs, **kwargs)
+                assert not np.isfinite(out.values).all(), (kind, shape, i)
+
+    def test_gather_drops_a_nan_in_an_unselected_row(self):
+        x = constant([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]])
+        out = Tape().apply("gather-rows", x, indices=[2, 0])
+        np.testing.assert_array_equal(out.values, [[3.0, 4.0], [1.0, 2.0]])
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()

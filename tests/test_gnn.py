@@ -30,6 +30,7 @@ def permuted_copy(smiles, perm):
             b_old.order, b_old.conjugated, b_old.in_ring,
         )
     out.node_features = g.node_features[perm]
+    out.bond_index = inv[g.bond_index]
     return out
 
 
@@ -439,6 +440,7 @@ class TestInvariances:
         order = list(range(len(g2.bonds)))[::-1]
         g2.bonds = [g2.bonds[i] for i in order]
         g2.edge_features = g2.edge_features[order]
+        g2.bond_index = g2.bond_index[order]
         b2 = GraphBatch.from_graphs([g2])
         tape = Tape(grad_enabled=False)
         r1 = model.readout(tape, model.run(tape, b1), b1).values

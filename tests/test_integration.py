@@ -625,6 +625,7 @@ class TestLoadStateDict:
         assert "missing ['lm.0.wqkv']" in str(exc.value)
         assert "unexpected ['lm.0.wq0']" in str(exc.value)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_loaded_nan_fails_a_model_that_already_ran(self):
         # the first forward marks every weight as scanned; a load replaces
         # the values, so they must be scanned again

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from molfuse import lm, training
+from molfuse import autodiff, lm, training
 from molfuse.autodiff import Tape, backward, constant
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
@@ -36,7 +36,7 @@ from molfuse.training import (
     train_one,
 )
 
-from tests.test_integration import VOCAB, mols_for
+from tests.test_integration import VOCAB, mols_for, tiny_model
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -126,6 +126,24 @@ class TestPrepareMolecules:
         assert dropped == 0 and len(mols) == len(loaded.records)
         assert len(calls) == parsed_by_load
         assert all(m.graph is r.graph for m, r in zip(mols, loaded.records))
+
+    def test_set_up_tokenizes_each_smiles_once(self, tiny_csv, monkeypatch):
+        # parse's token list feeds the vocabulary and prepare_molecules
+        from molfuse import smiles
+        from molfuse.data import load_csv
+
+        calls = []
+        real = smiles.tokenize_raw
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(smiles, "tokenize_raw", counted)
+        loaded = load_csv(tiny_csv, "smiles", "log_solubility", REGRESSION)
+        assert not loaded.quarantined
+        training.prepare_splits(tiny_config(tiny_csv), loaded.records, 0)
+        assert sorted(calls) == sorted(r.smiles for r in loaded.records)
 
     def test_record_without_graph_is_parsed(self):
         from molfuse.training import prepare_molecules
@@ -266,6 +284,7 @@ class TestRunSeeds:
         assert timing["blas_threads"] >= 1
         assert timing["minor_faults"] == 234
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_in_one_seed_fails_that_seed_only(self, tiny_csv, monkeypatch):
         # seed 0 runs first: a NaN written into the token embedding after
         # its third Adam step reaches the embedding gather on the next step
@@ -289,6 +308,7 @@ class TestRunSeeds:
         assert not second.failed and math.isfinite(second.test_metric)
         assert report.aggregate() == (second.test_metric, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_fails_before_its_step(self, tiny_csv, monkeypatch):
         # the second training batch's loss is replaced by inf
         real_forward = IntegratedModel.forward_batch
@@ -313,6 +333,7 @@ class TestRunSeeds:
         assert result.failure_reason == "non-finite loss at epoch 0"
         assert len(steps) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_in_mlm_pretraining_names_the_stage(self, tiny_csv, monkeypatch):
         # a NaN written into the token embedding after the first MLM step
         # reaches the embedding gather on the second
@@ -330,6 +351,52 @@ class TestRunSeeds:
             "non-finite value in MLM pretraining: "
             "op 'gather-rows': NaN in input values"
         )
+
+    def test_non_finite_mlm_loss_without_a_bad_input_fails(
+            self, tiny_csv, monkeypatch):
+        # the MLM loss op returns inf from finite logits: the replay finds
+        # no bad input, and the loss is not stepped into the weights
+        real_op = autodiff._OPS["cross-entropy-with-logits"]
+
+        def inf_loss(inputs, kw):
+            _, bwd = real_op(inputs, kw)
+            return np.asarray(np.inf), bwd
+
+        monkeypatch.setitem(autodiff._OPS, "cross-entropy-with-logits", inf_loss)
+        steps = []
+        monkeypatch.setattr(lm, "adam_step", lambda *args: steps.append(args))
+        _, result = train_one(
+            tiny_config(tiny_csv, mlm_pretrain=True, mlm_epochs=1), 0)
+        assert result.failure_reason == (
+            "non-finite value in MLM pretraining: non-finite MLM loss")
+        assert not steps
+
+    def test_non_finite_prediction_without_a_bad_input_fails(
+            self, tiny_csv, monkeypatch):
+        # predictions that come out inf from finite inputs are no longer
+        # returned: the replay finds no bad input, so predict raises
+        real_forward = IntegratedModel.forward_batch
+
+        def forward(model, tape, mols, batch_seed=0, predict_only=False):
+            loss, preds, info = real_forward(model, tape, mols, batch_seed,
+                                             predict_only)
+            if predict_only:
+                preds = constant(np.full(preds.shape, np.inf))
+            return loss, preds, info
+
+        monkeypatch.setattr(IntegratedModel, "forward_batch", forward)
+        _, result = train_one(tiny_config(tiny_csv, max_epochs=2), 0)
+        assert result.failure_reason == (
+            "non-finite value at epoch 0: non-finite prediction")
+
+    def test_nan_in_an_unselected_embedding_row_does_not_fail_a_step(self):
+        # no token of the batch selects the "Br" row, so no op reads its NaN
+        # and the loss stays finite: the step is taken
+        model = tiny_model("lm-baseline")
+        model.encoder.token_embedding.values[VOCAB.id_of("Br"), 0] = np.nan
+        state = AdamState(model.parameters())
+        assert train_epoch(model, state, mols_for(["CCO", "C1CC1"]), 2, 0, 0)
+        assert state.t == 1
 
 
 # Ten training steps of a small mpnn-baseline model on one fixed batch of

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""SHA-256 of every benchmark workload strategy's trained weights.
+"""SHA-256 of every benchmark workload strategy's trained weights and
+test-split predictions.
 
     python3 tools/state_hashes.py [--root CHECKOUT]
 
@@ -7,16 +8,18 @@ For each workload in ``perfbench/workloads.py`` this writes the workload's
 CSV for seed 3, takes each strategy's ``RunConfig`` from
 ``perfbench/worker.run_configs`` with ``max_epochs`` and ``patience`` set
 to 2, trains one seed with ``training.train_one`` and prints
-one line per strategy: the workload, the strategy, the test metric and
-the SHA-256 of the trained ``state_dict`` (parameter names and float64
-bytes, in name order). The configurations in ``EXTRA``, which no workload
-trains, run on the inputs and the first config of the workload they are
-listed under, with their field overrides, so all seven wirings are
-covered, as are the frozen message passer, a message passer with no
-message step, the two-layer GraphConv variant and the gate and max
-fusion ops. A line with overrides names them after the strategy, as
-``strategy+field=value``.
-``--root`` picks the source checkout whose
+one line per strategy: the workload, the strategy, the test metric, the
+SHA-256 of the trained ``state_dict`` (parameter names and float64
+bytes, in name order) and the SHA-256 of the trained model's predictions
+on the test split (float64 bytes, predicted in batches of 64 as
+``training.evaluate`` does), so a change to the prediction path shows
+even where the test metric hides it. The configurations in ``EXTRA``,
+which no workload trains, run on the inputs and the first config of the
+workload they are listed under, with their field overrides, so all seven
+wirings are covered, as are the frozen message passer, a message passer
+with no message step, the two-layer GraphConv variant and the gate and
+max fusion ops. A line with overrides names them after the strategy, as
+``strategy+field=value``. ``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
 script), so two checkouts compare with one ``diff`` of the outputs.
 """
@@ -31,6 +34,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 3
 EPOCHS = 2
+PREDICT_BATCH = 64  # the batch size training.evaluate predicts with
 # (strategy, field overrides) no workload trains, hashed on one workload's
 # inputs and first config; frozen_mpnn keeps every message-passer weight at
 # its initial value, message_steps=0 builds the input layer alone, and the
@@ -60,6 +64,20 @@ def state_hash(state):
         digest.update(name.encode())
         digest.update(state[name].tobytes())
     return digest.hexdigest()
+
+
+def predictions_hash(model, config, seed):
+    """SHA-256 of the model's test-split predictions."""
+    import numpy as np
+    from molfuse.data import TaskKind, load_csv
+    from molfuse.training import prepare_splits
+
+    data = load_csv(config.dataset, config.smiles_column, config.label_column,
+                    TaskKind(config.task))
+    _, _, (_, _, (test_mols, _, _)) = prepare_splits(config, data.records, seed)
+    preds = np.concatenate([model.predict(test_mols[lo:lo + PREDICT_BATCH])
+                            for lo in range(0, len(test_mols), PREDICT_BATCH)])
+    return hashlib.sha256(preds.astype(np.float64).tobytes()).hexdigest()
 
 
 def main(argv=None):
@@ -92,7 +110,8 @@ def main(argv=None):
                 label = "".join([config.strategy] + [
                     f"+{key}={value}" for key, value in overrides.items()])
                 print(f"{name} {label} {result.test_metric!r} "
-                      f"{state_hash(model.state_dict())}", flush=True)
+                      f"{state_hash(model.state_dict())} "
+                      f"{predictions_hash(model, config, seed)}", flush=True)
     return 0
 
 
