@@ -38,6 +38,16 @@ _FIXED_TOKENS = {
     **{t: (t, False) for t in (*"0123456789()", *BOND_ORDERS)},
 }
 
+# organic-subset atom token -> the Atom(symbol, aromatic) it makes
+_ORGANIC_ATOMS = {
+    **{t: (t, False) for t in ELEMENTS},
+    **{t: (t.upper(), True) for t in AROMATIC_SYMBOLS},
+}
+# (order, conjugated) of a bond with no symbol between two aromatic atoms,
+# or written ':', and of any other bond with no symbol
+_AROMATIC_BOND = (1.5, True)
+_SINGLE_BOND = (1.0, False)
+
 NODE_FEATURE_DIM = 9
 EDGE_FEATURE_DIM = 4
 
@@ -46,7 +56,7 @@ class SmilesError(ValueError):
     """Tokenization or parse failure; message names the offending piece."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     symbol: str
     aromatic: bool = False
@@ -57,7 +67,7 @@ class Atom:
     degree: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     u: int
     v: int
@@ -242,66 +252,16 @@ def tokenize(smiles, vocab, raw=None):
     """
     if raw is None:
         raw = tokenize_raw(smiles)
+    lookup = vocab.token_to_id.get
+    unk = Vocabulary.UNK
     token_ids = [Vocabulary.CLS]
-    positions = []
-    unk = 0
-    for tok, is_atom in raw:
-        pos = len(token_ids)
-        tid = vocab.id_of(tok)
-        if tid == Vocabulary.UNK:
-            unk += 1
-        token_ids.append(tid)
-        if is_atom:
-            positions.append(pos)
+    token_ids += [lookup(tok, unk) for tok, _ in raw]
     return TokenSequence(
         token_ids=token_ids,
-        atom_token_positions=positions,
-        unknown_tokens=unk,
+        atom_token_positions=[
+            pos for pos, (_, is_atom) in enumerate(raw, 1) if is_atom],
+        unknown_tokens=token_ids.count(unk),
     )
-
-
-def _mark_rings(atoms, bonds):
-    """Flag atoms/bonds on any cycle: non-bridge edges via iterative DFS."""
-    n = len(atoms)
-    adj = [[] for _ in range(n)]
-    for bi, b in enumerate(bonds):
-        adj[b.u].append((b.v, bi))
-        adj[b.v].append((b.u, bi))
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    is_bridge = [False] * len(bonds)
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            node, in_edge, it = stack[-1]
-            advanced = False
-            for nxt, ei in it:
-                if ei == in_edge:
-                    continue
-                if disc[nxt] < 0:
-                    disc[nxt] = low[nxt] = timer
-                    timer += 1
-                    stack.append((nxt, ei, iter(adj[nxt])))
-                    advanced = True
-                    break
-                low[node] = min(low[node], disc[nxt])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        is_bridge[in_edge] = True
-    for bi, b in enumerate(bonds):
-        if not is_bridge[bi]:
-            b.in_ring = True
-            atoms[b.u].in_ring = True
-            atoms[b.v].in_ring = True
 
 
 def parse(smiles):
@@ -310,6 +270,13 @@ def parse(smiles):
     Ring-closure bonds connect opener and closer; a bond between two
     aromatic atoms with no explicit symbol gets order 1.5 with the
     aromatic/conjugated flags, everything else defaults to a single bond.
+
+    Every atom after the first bonds to ``prev`` (the atom before it or its
+    branch point), so the bonds made that way form a spanning tree, and a
+    ring closure is the only bond that can close a cycle or repeat a bond.
+    A bond lies on a cycle exactly when it is a closure or lies on the tree
+    path between a closure's two ends, and an atom does when it ends such
+    a bond; each closure marks its path as it is made.
     """
     raw = tokenize_raw(smiles)
     atoms = []
@@ -319,32 +286,37 @@ def parse(smiles):
     ring_open = {}  # label -> (atom index, pending order at open)
     prev = None
     pending = None  # (order, explicit aromatic flag)
-
-    def make_bond(u, v, pend):
-        a, b = atoms[u], atoms[v]
-        if pend is not None:
-            order, arom = pend
-        elif a.aromatic and b.aromatic:
-            order, arom = 1.5, True
-        else:
-            order, arom = 1.0, False
-        bonds.append(Bond(u, v, order=order, conjugated=arom))
+    # per atom: its parent in the tree, its depth and its bond to the parent
+    parent = [-1]
+    depth = [0]
+    up = [None]
+    closures = set()  # (low, high) atom pair of every closure bond made
+    duplicate = None  # the first repeated (low, high) pair, reported last
 
     for tok, is_atom in raw:
         if is_atom:
-            if tok.startswith("["):
+            organic = _ORGANIC_ATOMS.get(tok)
+            if organic is not None:
+                atom = Atom(*organic)
+            else:
                 symbol, aromatic, charge, hcount, isotope = _parse_bracket(tok)
                 atom = Atom(symbol, aromatic, charge, hcount, isotope)
                 if "@" in tok:
                     warnings.append(f"ignored chirality in '{tok}'")
-            elif tok in ELEMENTS:
-                atom = Atom(tok)
-            else:  # aromatic organic-subset letter
-                atom = Atom(tok.upper(), aromatic=True)
+            idx = len(atoms)
             atoms.append(atom)
-            idx = len(atoms) - 1
             if prev is not None:
-                make_bond(prev, idx, pending)
+                a = atoms[prev]
+                order, arom = pending or (
+                    _AROMATIC_BOND if a.aromatic and atom.aromatic
+                    else _SINGLE_BOND)
+                bond = Bond(prev, idx, order, arom)
+                bonds.append(bond)
+                a.degree += 1
+                atom.degree = 1
+                parent.append(prev)
+                depth.append(depth[prev] + 1)
+                up.append(bond)
             pending = None
             prev = idx
         elif tok == "(":
@@ -360,7 +332,7 @@ def parse(smiles):
                 warnings.append(f"ignored stereo bond '{tok}'")
                 pending = (1.0, False)
             elif tok == ":":
-                pending = (1.5, True)
+                pending = _AROMATIC_BOND
             else:
                 pending = (BOND_ORDERS[tok], False)
         elif tok.isdigit() or tok.startswith("%"):
@@ -371,7 +343,30 @@ def parse(smiles):
                 opener, open_pending = ring_open.pop(label)
                 if opener == prev:
                     raise SmilesError(f"ring {label} closes on its opening atom")
-                make_bond(opener, prev, pending or open_pending)
+                a, b = atoms[opener], atoms[prev]
+                order, arom = pending or open_pending or (
+                    _AROMATIC_BOND if a.aromatic and b.aromatic
+                    else _SINGLE_BOND)
+                bond = Bond(opener, prev, order, arom, in_ring=True)
+                bonds.append(bond)
+                a.degree += 1
+                b.degree += 1
+                a.in_ring = b.in_ring = True
+                key = (opener, prev) if opener < prev else (prev, opener)
+                if duplicate is None and (parent[opener] == prev
+                                          or parent[prev] == opener
+                                          or key in closures):
+                    duplicate = key
+                closures.add(key)
+                # walk both ends up the tree to where they meet, flagging
+                # the tree bonds and atoms on the way
+                u, v = opener, prev
+                while u != v:
+                    if depth[u] < depth[v]:
+                        u, v = v, u
+                    up[u].in_ring = True
+                    u = parent[u]
+                    atoms[u].in_ring = True
             else:
                 ring_open[label] = (prev, pending)
             pending = None
@@ -385,18 +380,10 @@ def parse(smiles):
         raise SmilesError("unbalanced parentheses: '(' never closed")
     if not atoms:
         raise SmilesError("no atoms found")
+    if duplicate is not None:
+        raise SmilesError(
+            f"duplicate bond between atoms {duplicate[0]} and {duplicate[1]}")
 
-    seen = set()
-    for b in bonds:
-        key = (min(b.u, b.v), max(b.u, b.v))
-        if key in seen:
-            raise SmilesError(f"duplicate bond between atoms {key[0]} and {key[1]}")
-        seen.add(key)
-
-    for b in bonds:
-        atoms[b.u].degree += 1
-        atoms[b.v].degree += 1
-    _mark_rings(atoms, bonds)
     graph = MolecularGraph(atoms=atoms, bonds=bonds, warnings=warnings,
                            tokens=raw)
     featurize(graph)
@@ -413,18 +400,26 @@ def featurize(graph):
     atoms use their explicit count. Edge row: [order, conjugated, in-ring,
     aromatic].
     """
-    order_sum = [0.0] * graph.num_atoms
-    for b in graph.bonds:
+    atoms, bonds = graph.atoms, graph.bonds
+    order_sum = [0.0] * len(atoms)
+    edge_rows = []
+    for b in bonds:
         order_sum[b.u] += b.order
         order_sum[b.v] += b.order
-    node = np.zeros((graph.num_atoms, NODE_FEATURE_DIM), dtype=np.float64)
-    for i, atom in enumerate(graph.atoms):
+        edge_rows.append((
+            b.order,
+            1.0 if b.conjugated else 0.0,
+            1.0 if b.in_ring else 0.0,
+            1.0 if b.order == 1.5 else 0.0,
+        ))
+    node_rows = []
+    for atom, bond_orders in zip(atoms, order_sum):
         number, period, group, valence = ELEMENTS[atom.symbol]
         if atom.explicit_h is not None:
             hydrogens = atom.explicit_h
         else:
-            hydrogens = max(valence - order_sum[i], 0.0)
-        node[i] = [
+            hydrogens = max(valence - bond_orders, 0.0)
+        node_rows.append((
             number / 100.0,
             atom.degree,
             atom.formal_charge,
@@ -434,19 +429,13 @@ def featurize(graph):
             period,
             group,
             0.0,
-        ]
-    edge = np.zeros((graph.num_bonds, EDGE_FEATURE_DIM), dtype=np.float64)
-    for j, b in enumerate(graph.bonds):
-        edge[j] = [
-            b.order,
-            1.0 if b.conjugated else 0.0,
-            1.0 if b.in_ring else 0.0,
-            1.0 if b.order == 1.5 else 0.0,
-        ]
+        ))
+    node = np.array(node_rows, dtype=np.float64).reshape(-1, NODE_FEATURE_DIM)
+    edge = np.array(edge_rows, dtype=np.float64).reshape(-1, EDGE_FEATURE_DIM)
     graph.node_features = node
     graph.edge_features = edge
     graph.bond_index = np.array(
-        [(b.u, b.v) for b in graph.bonds], dtype=np.int64
+        [(b.u, b.v) for b in bonds], dtype=np.int64
     ).reshape(-1, 2)
     return node, edge
 

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,9 @@ from molfuse.smiles import (
     tokenize,
     tokenize_raw,
 )
+from molfuse.synthdata import write_dataset
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +128,108 @@ class TestParse:
         g = parse("C/C=C/C")
         assert g.num_atoms == 4 and g.num_bonds == 3
         assert any("stereo" in w for w in g.warnings)
+
+
+def connected_without(graph, removed):
+    """Whether the ends of bond ``removed`` stay connected once it is gone."""
+    adj = [[] for _ in graph.atoms]
+    for i, b in enumerate(graph.bonds):
+        if i != removed:
+            adj[b.u].append(b.v)
+            adj[b.v].append(b.u)
+    start, goal = graph.bonds[removed].u, graph.bonds[removed].v
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt == goal:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def assert_ring_flags_match_oracle(graph, smiles):
+    """A bond is in a ring exactly when its ends stay connected without it;
+    an atom is exactly when it ends a ring bond."""
+    expected_bonds = [connected_without(graph, i)
+                      for i in range(graph.num_bonds)]
+    assert [b.in_ring for b in graph.bonds] == expected_bonds, smiles
+    ring_atoms = {end for b, ring in zip(graph.bonds, expected_bonds) if ring
+                  for end in (b.u, b.v)}
+    assert [a.in_ring for a in graph.atoms] == [
+        i in ring_atoms for i in range(graph.num_atoms)], smiles
+
+
+def csv_smiles(path):
+    with open(path, newline="") as fh:
+        return [row["smiles"] for row in csv.DictReader(fh)]
+
+
+# (SMILES, in-ring flag of each bond, in-ring flag of each atom)
+RING_CASES = [
+    # the bond joining the two rings is on no cycle
+    ("C1CC1C1CC1", [1, 1, 1, 0, 1, 1, 1], [1] * 6),
+    # a spiro atom closes both rings
+    ("C1CC12CC2", [1] * 6, [1] * 5),
+    # fused rings: the shared bond is on a cycle too
+    ("c1ccc2ccccc2c1", [1] * 11, [1] * 10),
+    ("C1CC%10CC1%10", [1] * 6, [1] * 5),
+    # a closure back from inside a branch; the last C hangs off the ring
+    ("C1C(C1)C", [1, 1, 1, 0], [1, 1, 1, 0]),
+]
+
+# (SMILES, the repeated atom pair its duplicate-bond error names)
+DUPLICATE_CASES = [
+    ("C1C1", (0, 1)),  # a closure repeating the tree bond after it
+    ("C1(C1)", (0, 1)),  # ... or the tree bond into its branch
+    ("C(C1)1", (0, 1)),  # ... or the tree bond back out of a branch
+    ("C12CC12", (0, 2)),  # a closure repeating an earlier closure
+]
+
+
+class TestRingFlagsOracle:
+    @pytest.mark.parametrize("name", ["esol.csv", "bbbp.csv"])
+    def test_bundled_dataset(self, name):
+        checked = 0
+        for s in csv_smiles(DATA / name):
+            try:
+                graph = parse(s)
+            except SmilesError:
+                continue
+            assert_ring_flags_match_oracle(graph, s)
+            checked += 1
+        assert checked > 1000
+
+    def test_generated_bbbp_like_file(self, tmp_path):
+        path = tmp_path / "bbbp.csv"
+        write_dataset(path, "bbbp", 200, seed=41)
+        for s in csv_smiles(path):
+            assert_ring_flags_match_oracle(parse(s), s)
+
+    @pytest.mark.parametrize("smiles, bonds_in_ring, atoms_in_ring",
+                             RING_CASES, ids=[case[0] for case in RING_CASES])
+    def test_named_cases(self, smiles, bonds_in_ring, atoms_in_ring):
+        graph = parse(smiles)
+        assert [int(b.in_ring) for b in graph.bonds] == bonds_in_ring
+        assert [int(a.in_ring) for a in graph.atoms] == atoms_in_ring
+        assert_ring_flags_match_oracle(graph, smiles)
+
+
+class TestDuplicateBond:
+    @pytest.mark.parametrize("smiles, pair", DUPLICATE_CASES,
+                             ids=[case[0] for case in DUPLICATE_CASES])
+    def test_message_names_the_atoms(self, smiles, pair):
+        with pytest.raises(SmilesError) as err:
+            parse(smiles)
+        assert str(err.value) == (
+            f"duplicate bond between atoms {pair[0]} and {pair[1]}")
+
+    def test_end_of_string_checks_come_first(self):
+        with pytest.raises(SmilesError) as err:
+            parse("C12C12C1")
+        assert str(err.value) == "unclosed ring 1"
 
 
 class TestFeaturize:

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""SHA-256 of every benchmark workload strategy's trained weights and
-test-split predictions.
+"""SHA-256 of every benchmark workload's parsed dataset, and of every
+workload strategy's trained weights and test-split predictions.
 
     python3 tools/state_hashes.py [--root CHECKOUT]
 
 For each workload in ``perfbench/workloads.py`` this writes the workload's
-CSV for seed 3, takes each strategy's ``RunConfig`` from
-``perfbench/worker.run_configs`` with ``max_epochs`` and ``patience`` set
-to 2, trains one seed with ``training.train_one`` and prints
-one line per strategy: the workload, the strategy, the test metric, the
+CSV for seed 3 and prints one line, ``<workload> parsed-dataset <sha>``:
+the SHA-256 of what ``data.load_csv`` read from it, that is every
+record's ``node_features``, ``edge_features`` and ``bond_index`` (dtype,
+shape and bytes) and its ``tokenize_raw`` list, and every quarantined
+row's reason, so a parser change shows on its own line. It then takes
+each strategy's ``RunConfig`` from ``perfbench/worker.run_configs`` with
+``max_epochs`` and ``patience`` set to 2, trains one seed with
+``training.train_one`` and prints one line per strategy: the workload,
+the strategy, the test metric, the
 SHA-256 of the trained ``state_dict`` (parameter names and float64
 bytes, in name order) and the SHA-256 of the trained model's predictions
 on the test split (float64 bytes, predicted in batches of 64 as
@@ -66,6 +71,21 @@ def state_hash(state):
     return digest.hexdigest()
 
 
+def dataset_hash(data):
+    """SHA-256 of a ``load_csv`` result's parsed records and quarantine."""
+    digest = hashlib.sha256()
+    for rec in data.records:
+        graph = rec.graph
+        for array in (graph.node_features, graph.edge_features,
+                      graph.bond_index):
+            digest.update(repr((array.dtype.str, array.shape)).encode())
+            digest.update(array.tobytes())
+        digest.update(repr(graph.tokens).encode())
+    for entry in data.quarantined:
+        digest.update(repr((entry.row_index, entry.reason)).encode())
+    return digest.hexdigest()
+
+
 def predictions_hash(model, config, seed):
     """SHA-256 of the model's test-split predictions."""
     import numpy as np
@@ -89,6 +109,7 @@ def main(argv=None):
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 
+    from molfuse.data import TaskKind, load_csv
     from molfuse.training import train_one
     from worker import run_configs
     from workloads import WORKLOADS, data_seed, write_inputs
@@ -99,6 +120,10 @@ def main(argv=None):
             write_inputs(workload, SEED, csv_path)
             seed = data_seed(SEED)
             configs = run_configs(workload, csv_path, seed)
+            first = configs[0]
+            data = load_csv(csv_path, first.smiles_column, first.label_column,
+                            TaskKind(first.task))
+            print(f"{name} parsed-dataset {dataset_hash(data)}", flush=True)
             runs = [(config, {}) for config in configs]
             runs += [(dataclasses.replace(configs[0], strategy=strategy,
                                           **overrides), overrides)
