@@ -16,7 +16,7 @@ import sys
 from .autodiff import Tape, check_gradients, gradient_error
 from .data import TaskKind, parse_ratio_string
 from .integration import STRATEGIES, EncodedMolecule
-from .smiles import SmilesError, Vocabulary, parse, tokenize, tokenize_raw
+from .smiles import SmilesError, Vocabulary, parse, tokenize
 from .training import (
     CHOICES,
     RunConfig,
@@ -165,7 +165,7 @@ def cmd_parse(args):
     for smiles in lines:
         try:
             graph = parse(smiles)
-            tokens = tokenize_raw(smiles)
+            tokens = graph.tokens
             note = f" ({len(graph.warnings)} warnings)" if graph.warnings else ""
             print(
                 f"{smiles}\t{graph.num_atoms} atoms\t{graph.num_bonds} bonds\t"

@@ -9,7 +9,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .smiles import SmilesError, parse, tokenize_raw
+from .smiles import ParsedMolecule, SmilesError, parse, tokenize_raw
 
 PROTOCOL_SEEDS = (0, 7, 42, 100, 2024)
 TASK_KINDS = ("regression", "binary-classification")
@@ -51,13 +51,14 @@ class DataRecord:
     smiles: str
     label: float
     row_index: int
-    # the parsed graph, kept by load_csv so set-up parses each SMILES once
+    # the parse's ParsedMolecule (arrays and tokens, no atoms or bonds),
+    # kept by load_csv so set-up parses each SMILES once
     graph: object = field(default=None, repr=False, compare=False)
 
     @property
     def raw_tokens(self):
-        """The SMILES's ``tokenize_raw`` list: the one the kept graph was
-        parsed from, or a fresh scan for a record without a graph."""
+        """The SMILES's ``tokenize_raw`` list: the one the kept parse was
+        read from, or a fresh scan for a record without one."""
         return self.graph.tokens if self.graph is not None else tokenize_raw(self.smiles)
 
 
@@ -125,6 +126,8 @@ def load_csv(path, smiles_column, label_column, task):
 
     Quarantine reasons: missing/blank fields, non-finite or (for
     classification) non-binary labels, and SMILES the parser rejects.
+    A record keeps its parse as a :class:`ParsedMolecule`; the graph's
+    atoms and bonds are not kept.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -166,7 +169,8 @@ def load_csv(path, smiles_column, label_column, task):
                 result.quarantined.append(QuarantineEntry(i, smiles, str(exc)))
                 continue
             result.warnings += len(graph.warnings)
-            result.records.append(DataRecord(smiles, label, i, graph))
+            result.records.append(
+                DataRecord(smiles, label, i, ParsedMolecule.of(graph)))
     if not result.records:
         raise ValueError(f"{path}: no usable records")
     return result

@@ -102,6 +102,27 @@ class MolecularGraph:
         return len(self.bonds)
 
 
+@dataclass(slots=True, eq=False)
+class ParsedMolecule:
+    """What training reads of a parsed :class:`MolecularGraph`: its three
+    feature arrays, its ``tokenize_raw`` list and its atom count, under the
+    graph's own attribute names. A dataset keeps one per record, so the
+    graph's ``Atom`` and ``Bond`` objects are freed with the parse.
+    """
+
+    node_features: np.ndarray
+    edge_features: np.ndarray
+    bond_index: np.ndarray
+    tokens: list
+    num_atoms: int
+
+    @classmethod
+    def of(cls, graph):
+        node = graph.node_features
+        return cls(node, graph.edge_features, graph.bond_index, graph.tokens,
+                   node.shape[0])
+
+
 @dataclass
 class TokenSequence:
     token_ids: list
@@ -430,14 +451,18 @@ def featurize(graph):
             group,
             0.0,
         ))
-    node = np.array(node_rows, dtype=np.float64).reshape(-1, NODE_FEATURE_DIM)
-    edge = np.array(edge_rows, dtype=np.float64).reshape(-1, EDGE_FEATURE_DIM)
+    node = _matrix(node_rows, NODE_FEATURE_DIM, np.float64)
+    edge = _matrix(edge_rows, EDGE_FEATURE_DIM, np.float64)
     graph.node_features = node
     graph.edge_features = edge
-    graph.bond_index = np.array(
-        [(b.u, b.v) for b in bonds], dtype=np.int64
-    ).reshape(-1, 2)
+    graph.bond_index = _matrix([(b.u, b.v) for b in bonds], 2, np.int64)
     return node, edge
+
+
+def _matrix(rows, width, dtype):
+    """(len(rows) x width) array of the given rows. It owns its data: a
+    reshaped array would keep a second array object alive as its base."""
+    return np.array(rows, dtype=dtype) if rows else np.empty((0, width), dtype)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from .gnn import GNN_VARIANTS
 from .integration import FUSION_OPS, STRATEGIES, EncodedMolecule, IntegratedModel
 from .lm import run_mlm_pretraining
 from .optim import AdamState, adam_step
-from .smiles import Vocabulary, parse, tokenize
+from .smiles import ParsedMolecule, Vocabulary, parse, tokenize
 
 DEFAULT_LABEL_COLUMNS = {"regression": "log_solubility",
                          "binary-classification": "p_np"}
@@ -263,8 +263,8 @@ def evaluate(model, mols, task, batch_size=64):
 def prepare_molecules(records, vocab, max_len):
     """EncodedMolecule list; over-long sequences are dropped and counted.
 
-    A record's graph, and the token list it was parsed from, are reused
-    when ``load_csv`` kept them; a record without a graph is parsed here.
+    A record's ``ParsedMolecule`` is reused when ``load_csv`` kept one;
+    a record without one is parsed here and kept as one.
     """
     mols = []
     dropped = 0
@@ -275,7 +275,9 @@ def prepare_molecules(records, vocab, max_len):
             dropped += 1
             continue
         unknown += seq.unknown_tokens
-        graph = rec.graph if rec.graph is not None else parse(rec.smiles)
+        graph = rec.graph
+        if graph is None:
+            graph = ParsedMolecule.of(parse(rec.smiles))
         mols.append(EncodedMolecule(graph, seq, rec.label))
     return mols, dropped, unknown
 

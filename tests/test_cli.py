@@ -56,6 +56,14 @@ class TestParseCommand:
         assert out.returncode == EXIT_OK, out.stderr
         assert out.stdout == "C1CC1\t3 atoms\t3 bonds\t5 tokens\n"
 
+    def test_verbose_lists_the_parsed_tokens(self, capsys):
+        assert main(["parse", "--verbose", "C[NH3+]"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "C[NH3+]\t2 atoms\t1 bonds\t2 tokens\n"
+            "  token 'C' [atom]\n"
+            "  token '[NH3+]' [atom]\n"
+        )
+
     def test_unclosed_ring_exit_2(self, capsys):
         assert main(["parse", "C1CC"]) == EXIT_DATA
         assert "unclosed ring 1" in capsys.readouterr().out

@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +17,16 @@ from molfuse.data import (
     parse_ratio_string,
     split,
 )
+from molfuse.gnn import GraphBatch
 from molfuse.synthdata import generate_rows, random_molecule, write_smiles
-from molfuse.smiles import parse
+from molfuse.smiles import Atom, Bond, ParsedMolecule, parse, tokenize_raw
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+# (file, label column, task) of the two bundled datasets
+BUNDLED = {
+    "esol": ("esol.csv", "log_solubility", REGRESSION),
+    "bbbp": ("bbbp.csv", "p_np", CLASSIFICATION),
+}
 
 
 def make_records(n):
@@ -157,6 +169,69 @@ class TestLoadCsv(object):
         self._write(f, ["CCO,0", "CC,0.7"])
         res = load_csv(f, "smiles", "y", CLASSIFICATION)
         assert len(res.records) == 1 and len(res.quarantined) == 1
+
+
+def load_bundled(name):
+    file, column, task = BUNDLED[name]
+    return load_csv(DATA / file, "smiles", column, task)
+
+
+def array_key(array):
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def atoms_and_bonds_alive():
+    gc.collect()
+    return sum(isinstance(o, (Atom, Bond)) for o in gc.get_objects())
+
+
+class TestLoadedRecord:
+    """A loaded record keeps its parse's arrays and tokens, not its atoms
+    and bonds, and everything built from it is bitwise the parse's."""
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_holds_exactly_what_parse_gives(self, name):
+        records = load_bundled(name).records
+        assert len(records) > 1000
+        for rec in records:
+            kept, ref = rec.graph, parse(rec.smiles)
+            assert type(kept) is ParsedMolecule, rec.smiles
+            assert kept.num_atoms == ref.num_atoms, rec.smiles
+            for attr in ("node_features", "edge_features", "bond_index"):
+                assert (array_key(getattr(kept, attr))
+                        == array_key(getattr(ref, attr))), (rec.smiles, attr)
+            assert kept.tokens == ref.tokens == tokenize_raw(rec.smiles)
+            assert rec.raw_tokens is kept.tokens
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_batches_equal_those_of_parsed_graphs(self, name):
+        records = load_bundled(name).records
+        for lo in range(0, len(records), 32):
+            chunk = records[lo:lo + 32]
+            kept = GraphBatch.from_graphs([r.graph for r in chunk])
+            ref = GraphBatch.from_graphs([parse(r.smiles) for r in chunk])
+            for attr in ("node_features", "edge_src", "edge_dst",
+                         "edge_features", "offsets"):
+                assert (array_key(getattr(kept, attr))
+                        == array_key(getattr(ref, attr))), (lo, attr)
+
+    def test_no_atom_or_bond_outlives_the_load(self):
+        before = atoms_and_bonds_alive()
+        loaded = load_bundled("bbbp")
+        assert atoms_and_bonds_alive() == before
+        assert sum(r.graph.num_atoms for r in loaded.records) > 40000
+
+    def test_bbbp_record_size(self):
+        # tracemalloc's count of what a loaded bbbp record holds: 9.4 KB
+        # with its atoms and bonds, 4.2 KB without them
+        load_bundled("bbbp")  # a first load fills one-off caches
+        tracemalloc.start()
+        try:
+            loaded = load_bundled("bbbp")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(loaded.records) <= 5.5 * 1024
 
 
 class TestSynthData:

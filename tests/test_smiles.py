@@ -251,6 +251,11 @@ class TestFeaturize:
             g = parse(s)
             assert g.node_features.shape == (g.num_atoms, 9)
             assert g.edge_features.shape == (g.num_bonds, 4)
+            assert g.bond_index.shape == (g.num_bonds, 2)
+            assert g.bond_index.dtype == np.int64
+            # each array owns its data: no second array object as its base
+            arrays = (g.node_features, g.edge_features, g.bond_index)
+            assert all(a.base is None for a in arrays), s
 
     def test_benzene_carbon_hydrogens(self):
         g = parse("c1ccccc1")

@@ -19,7 +19,7 @@ from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
 from molfuse.integration import IntegratedModel
 from molfuse.optim import AdamState, adam_step
-from molfuse.smiles import Vocabulary, parse
+from molfuse.smiles import ParsedMolecule, Vocabulary, parse
 from molfuse.synthdata import write_dataset
 from molfuse.training import (
     FLOORS,
@@ -151,6 +151,7 @@ class TestPrepareMolecules:
         vocab = Vocabulary.build(["CCO"])
         mols, _, _ = prepare_molecules([DataRecord("CCO", 1.0, 0)], vocab, 64)
         ref = parse("CCO")
+        assert type(mols[0].graph) is ParsedMolecule
         assert mols[0].graph.num_atoms == 3
         np.testing.assert_array_equal(mols[0].graph.node_features, ref.node_features)
         np.testing.assert_array_equal(mols[0].graph.edge_features, ref.edge_features)
