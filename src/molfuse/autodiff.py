@@ -25,7 +25,6 @@ broadcast it; all other shape combinations must match exactly.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,11 +92,9 @@ class Tape:
     nothing (used for evaluation passes). :func:`backward` consumes the
     tape; it cannot be walked twice.
 
-    By default no op scans its inputs for NaN or inf: a caller tests the
-    one result it needs (a loss, the predictions) and, when that is not
-    finite, replays the same computation on a ``check=True`` tape, whose
-    ``apply`` raises ``FloatingPointError`` naming the first op kind that
-    receives a NaN or an infinite input.
+    By default no op scans its inputs for NaN or inf; :func:`checked`
+    tests a computation's one result and replays it on a ``check=True``
+    tape when that is not finite.
     """
 
     grad_enabled: bool = True
@@ -113,14 +110,10 @@ class Tape:
             raise KeyError(f"unknown op kind '{kind}'")
         if self.check:
             for t in inputs:
-                # cheap fail-fast test: the sum of finite values is finite
-                # unless it overflows, so only a non-finite sum needs a scan
-                if not math.isfinite(t.values.sum()):
-                    if np.isnan(t.values).any():
-                        raise FloatingPointError(f"op '{kind}': NaN in input values")
-                    if not np.isfinite(t.values).all():
-                        raise FloatingPointError(
-                            f"op '{kind}': non-finite input values")
+                if np.isnan(t.values).any():
+                    raise FloatingPointError(f"op '{kind}': NaN in input values")
+                if not np.isfinite(t.values).all():
+                    raise FloatingPointError(f"op '{kind}': non-finite input values")
         out_values, backward_fn = op(inputs, kwargs)
         track = self.grad_enabled and any(t.requires_grad for t in inputs)
         out = Tensor(out_values, requires_grad=track)
@@ -133,6 +126,22 @@ class Tape:
             self.records.append((out.node_id, backward_fn))
             produced.add(out.node_id)
         return out
+
+
+def checked(run, tape, what):
+    """``run(tape)``, a Tensor, after one test that its values are finite.
+
+    When one is NaN or infinite, ``run`` runs again on a checking tape that
+    records nothing, whose ``apply`` raises ``FloatingPointError`` naming
+    the first op kind that receives a non-finite input; if no op does, this
+    raises ``FloatingPointError(f"non-finite {what}")``. ``run`` must
+    repeat the same computation (same seeds, weights not yet stepped).
+    """
+    out = run(tape)
+    if not np.isfinite(out.values).all():
+        run(Tape(grad_enabled=False, check=True))
+        raise FloatingPointError(f"non-finite {what}")
+    return out
 
 
 def backward(loss, tape):

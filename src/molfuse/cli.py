@@ -368,6 +368,9 @@ def main(argv=None):
     except SmilesError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except FloatingPointError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_RUN
 
 
 if __name__ == "__main__":

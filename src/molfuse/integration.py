@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, constant, parameter
+from .autodiff import Tape, checked, constant, parameter
 from .gnn import GraphBatch, build_gnn
 from .lm import PredictionHead, SmilesEncoder, xavier
 from .smiles import pack_batch
@@ -344,22 +344,13 @@ class IntegratedModel:
         return tape.apply("add", loss, scaled), preds, info
 
     def predict(self, mols):
-        """Raw predictions under a non-recording tape.
+        """Raw predictions under a non-recording tape; they pass
+        :func:`autodiff.checked`, so a NaN or inf raises
+        ``FloatingPointError``."""
+        def run(tape):
+            return self.forward_batch(tape, mols, batch_seed=0, predict_only=True)[1]
 
-        The predictions are tested once: when one is NaN or infinite, the
-        batch is run again on a checking tape, which raises
-        ``FloatingPointError`` at the first op that receives a non-finite
-        input, or, if none does, here.
-        """
-        preds = self._predict_on(Tape(grad_enabled=False), mols)
-        if not np.isfinite(preds).all():
-            self._predict_on(Tape(grad_enabled=False, check=True), mols)
-            raise FloatingPointError("non-finite prediction")
-        return preds
-
-    def _predict_on(self, tape, mols):
-        _, preds, _ = self.forward_batch(tape, mols, batch_seed=0, predict_only=True)
-        return preds.values.reshape(-1)
+        return checked(run, Tape(grad_enabled=False), "prediction").values.reshape(-1)
 
     def state_dict(self):
         return {p.name: p.values.copy() for p in self.parameters()}

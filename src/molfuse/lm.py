@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tape, backward, parameter
+from .autodiff import Tape, backward, checked, parameter
 from .optim import AdamState, adam_step
 from .smiles import Vocabulary, pack_batch
 
@@ -196,9 +196,8 @@ def mlm_pretrain_step(encoder, head, state, batch, mask_rate, seed=0):
     """Mask tokens, predict the originals, take one Adam step.
 
     Returns the scalar loss, or None when no token was maskable (the step
-    is skipped). A non-finite loss is not stepped: the masked batch runs
-    again on a checking tape, which raises ``FloatingPointError`` at the
-    first op that receives a NaN or inf, or, if none does, here.
+    is skipped). The loss passes :func:`autodiff.checked`: a non-finite one
+    raises ``FloatingPointError`` and is not stepped.
     """
     rng = np.random.default_rng(seed)
     masked = []
@@ -223,10 +222,7 @@ def mlm_pretrain_step(encoder, head, state, batch, mask_rate, seed=0):
         return tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
 
     tape = Tape()
-    loss = mlm_loss(tape)
-    if not np.isfinite(loss.values):
-        mlm_loss(Tape(grad_enabled=False, check=True))
-        raise FloatingPointError("non-finite MLM loss")
+    loss = checked(mlm_loss, tape, "MLM loss")
     adam_step(state, backward(loss, tape))
     return float(loss.values)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, backward, constant
+from .autodiff import Tape, backward, checked, constant
 from .checkpoint import save_checkpoint
 from .data import (
     PROTOCOL_SEEDS,
@@ -354,24 +354,21 @@ def retain_heap():
 
 
 def train_epoch(model, state, mols, batch_size, seed, epoch):
-    """Adam steps over ``mols`` in the epoch's seeded batch order; False at
-    the first non-finite loss, whose step is not taken.
+    """Adam steps over ``mols`` in the epoch's seeded batch order.
 
-    Before returning False, the batch runs again, with the same batch seed
-    and the weights not yet stepped, on a checking tape: a NaN or inf that
-    reached an op's input raises ``FloatingPointError`` naming the op kind.
+    Each loss passes :func:`autodiff.checked`: a non-finite one raises
+    ``FloatingPointError`` before its step is taken.
     """
     for b, batch in enumerate(batch_iter(mols, batch_size, _mix(seed, epoch))):
-        tape = Tape()
         batch_seed = _mix(seed, epoch, b)
-        loss, _, _ = model.forward_batch(tape, batch, batch_seed=batch_seed)
-        if not np.isfinite(loss.values):
-            model.forward_batch(Tape(grad_enabled=False, check=True), batch,
-                                batch_seed=batch_seed)
-            return False
+
+        def batch_loss(tape):
+            return model.forward_batch(tape, batch, batch_seed=batch_seed)[0]
+
+        tape = Tape()
+        loss = checked(batch_loss, tape, "loss")
         # no name holds the gradients, so they are freed before the next batch
         adam_step(state, backward(loss, tape))
-    return True
 
 
 def train_one(config, seed, out_dir=None, load_result=None):
@@ -380,10 +377,10 @@ def train_one(config, seed, out_dir=None, load_result=None):
     split -> (optional MLM stage) -> epoch loop with Adam -> early stop on
     the validation metric -> test metric from the best-validation
     snapshot. A non-finite loss or prediction aborts the run and is
-    recorded as a failure of this seed only, its reason naming the stage
-    (MLM pretraining, an epoch or test evaluation) and, when a NaN or inf
-    reached an op's input, that op's kind, found by replaying the batch on
-    a checking tape.
+    recorded as a failure of this seed only, its reason reading
+    ``non-finite value <stage>: <cause>``: the stage is MLM pretraining,
+    an epoch or test evaluation, and the cause the ``FloatingPointError``
+    of :func:`autodiff.checked`.
     """
     retain_heap()
     faults_before = minor_faults()
@@ -395,11 +392,6 @@ def train_one(config, seed, out_dir=None, load_result=None):
         result.peak_rss_mb = peak_rss_mb()
         result.minor_faults = minor_faults() - faults_before
         return model, result
-
-    def failure(reason):
-        result.failed = True
-        result.failure_reason = reason
-        return finish()
 
     data = load_result or load_csv(
         config.dataset, config.smiles_column, config.label_column, task
@@ -435,9 +427,7 @@ def train_one(config, seed, out_dir=None, load_result=None):
         for epoch in range(config.max_epochs):
             stage = f"at epoch {epoch}"
             started = time.perf_counter()
-            if not train_epoch(model, state, train_mols, config.batch_size,
-                               seed, epoch):
-                return failure(f"non-finite loss {stage}")
+            train_epoch(model, state, train_mols, config.batch_size, seed, epoch)
             val_metric = evaluate(model, valid_mols, task)
             result.val_history.append(val_metric)
             result.epoch_times.append(time.perf_counter() - started)
@@ -459,7 +449,9 @@ def train_one(config, seed, out_dir=None, load_result=None):
         stage = "in test evaluation"
         result.test_metric = evaluate(model, test_mols, task)
     except FloatingPointError as exc:
-        return failure(f"non-finite value {stage}: {exc}")
+        result.failed = True
+        result.failure_reason = f"non-finite value {stage}: {exc}"
+        return finish()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(
@@ -541,7 +533,8 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
     drift hits them symmetrically, and the garbage collector pauses during
     measured epochs (tape churn otherwise triggers collector scans at
     arbitrary points). Each strategy's entry also lists the minor page
-    faults of every measured epoch.
+    faults of every measured epoch. A non-finite loss raises
+    ``FloatingPointError`` with the strategy before its cause.
     """
     import gc
 
@@ -568,9 +561,11 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
                 gc.disable()
                 faults_before = minor_faults()
                 started = time.perf_counter()
-                if not train_epoch(model, state, train_mols,
-                                   config.batch_size, seed, epoch):
-                    raise FloatingPointError(f"{strategy}: non-finite loss")
+                try:
+                    train_epoch(model, state, train_mols, config.batch_size,
+                                seed, epoch)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"{strategy}: {exc}") from exc
                 elapsed = time.perf_counter() - started
                 epoch_faults = minor_faults() - faults_before
                 gc.enable()

@@ -10,6 +10,7 @@ from molfuse.autodiff import (
     backward,
     check_gradients,
     check_op_gradient,
+    checked,
     constant,
     fd_gradients,
     parameter,
@@ -189,6 +190,43 @@ class TestErrors:
                 "packed-attention", constant(np.ones((4, 6))),
                 offsets=offsets, num_heads=1,
             )
+
+class TestChecked:
+    def test_finite_result_is_returned_from_one_run(self):
+        tapes = []
+
+        def run(tape):
+            tapes.append(tape)
+            return tape.apply("relu", constant([-1.0, 2.0]))
+
+        tape = Tape()
+        out = checked(run, tape, "loss")
+        np.testing.assert_array_equal(out.values, [0.0, 2.0])
+        assert tapes == [tape]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_reaching_an_op_input_raises_that_ops_message(self):
+        def run(tape):
+            return tape.apply("tanh", constant([np.nan, 1.0]))
+
+        with pytest.raises(FloatingPointError) as exc:
+            checked(run, Tape(), "loss")
+        assert str(exc.value) == "op 'tanh': NaN in input values"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_inf_made_from_finite_inputs_raises_non_finite_what(self):
+        tapes = []
+
+        def run(tape):
+            tapes.append(tape)
+            return tape.apply("multiply", constant([1e308, 1.0]), constant(10.0))
+
+        with pytest.raises(FloatingPointError) as exc:
+            checked(run, Tape(), "prediction")
+        assert str(exc.value) == "non-finite prediction"
+        replay = tapes[1]
+        assert replay.check and not replay.grad_enabled and not replay.records
+
 
 class TestBackwardExamples:
     def test_sum_of_squares(self):

@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from molfuse import autodiff
 from molfuse.cli import (
     EXIT_DATA,
     EXIT_OK,
+    EXIT_RUN,
     EXIT_USAGE,
     TABLE_FOOTER,
     _snapshot_config,
@@ -394,6 +397,26 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "lm-baseline" in out and "mpnn-baseline" in out
         assert "minor faults per epoch" in out
+
+    def test_non_finite_loss_fails_the_run_and_names_the_strategy(
+            self, tiny_csv, monkeypatch, capsys):
+        # the loss op returns inf from finite predictions: the replay finds
+        # no bad input, so the loss itself is named
+        real_op = autodiff._OPS["squared-error"]
+
+        def inf_loss(inputs, kw):
+            _, bwd = real_op(inputs, kw)
+            return np.asarray(np.inf), bwd
+
+        monkeypatch.setitem(autodiff._OPS, "squared-error", inf_loss)
+        code = main(
+            ["profile", "--dataset", tiny_csv, "--seeds", "0",
+             "--profile-strategies", "mpnn-baseline",
+             "--epochs", "1", "--warmup", "0"] + TINY_FLAGS
+        )
+        assert code == EXIT_RUN
+        assert capsys.readouterr().err == (
+            "run error: mpnn-baseline: non-finite loss\n")
 
     def test_max_len_that_empties_a_split_fails_as_train_does(
             self, tiny_csv, tmp_path, capsys):

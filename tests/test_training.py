@@ -331,7 +331,7 @@ class TestRunSeeds:
                             lambda *args: steps.append(real_step(*args)))
         _, result = train_one(tiny_config(tiny_csv, max_epochs=2), 0)
         assert result.failed and result.epochs_run == 0
-        assert result.failure_reason == "non-finite loss at epoch 0"
+        assert result.failure_reason == "non-finite value at epoch 0: non-finite loss"
         assert len(steps) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -396,7 +396,7 @@ class TestRunSeeds:
         model = tiny_model("lm-baseline")
         model.encoder.token_embedding.values[VOCAB.id_of("Br"), 0] = np.nan
         state = AdamState(model.parameters())
-        assert train_epoch(model, state, mols_for(["CCO", "C1CC1"]), 2, 0, 0)
+        train_epoch(model, state, mols_for(["CCO", "C1CC1"]), 2, 0, 0)
         assert state.t == 1
 
 
@@ -509,8 +509,8 @@ class TestHeapRetention:
         monkeypatch.setattr(model, "forward_batch", checking_forward)
         gc.disable()
         try:
-            assert train_epoch(model, AdamState(model.parameters()),
-                               TestModelFields.MOLS, 2, seed=0, epoch=0)
+            train_epoch(model, AdamState(model.parameters()),
+                        TestModelFields.MOLS, 2, seed=0, epoch=0)
             assert len(refs) == 2 * len(model.parameters())
             assert all(ref() is None for ref in refs)
         finally:
@@ -555,6 +555,24 @@ class TestProfile:
         profile_strategies(tiny_config(tiny_csv, seeds=(7, 0)), ["mpnn-baseline"],
                            measured_epochs=1, warmup_epochs=0)
         assert seeds == [7]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_in_an_op_input_names_the_strategy_and_the_op(
+            self, tiny_csv, monkeypatch):
+        # a NaN written into the token embedding after the first Adam step
+        # reaches the embedding gather on the next
+        real_step = training.adam_step
+
+        def poisoned(state, grads):
+            real_step(state, grads)
+            state.params[0].values[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoned)
+        with pytest.raises(FloatingPointError) as exc:
+            profile_strategies(tiny_config(tiny_csv), ["lm-baseline"],
+                               measured_epochs=1, warmup_epochs=0)
+        assert str(exc.value) == "lm-baseline: op 'gather-rows': NaN in input values"
+        assert gc.isenabled()
 
     def test_attention_scaling_quadratic(self):
         out = attention_scaling(base_len=128, repeats=9)
