@@ -414,8 +414,7 @@ def _op_packed_attention(inputs, kw):
     row, each part holding ``num_heads`` column blocks of width d / heads.
     Sequence i owns rows offsets[i]:offsets[i + 1] and attends only to
     those rows, so no padding and no mask is involved; the output is the
-    (rows x d) head-concatenated context. ``collect``, when a list, gets
-    each sequence's (heads x L x L) attention probabilities.
+    (rows x d) head-concatenated context.
     """
     _require_arity("packed-attention", inputs, 1)
     qkv = inputs[0]
@@ -452,8 +451,6 @@ def _op_packed_attention(inputs, kw):
         context = out[lo:hi].reshape(hi - lo, heads, dk).transpose(1, 0, 2)
         np.matmul(probs, v, out=context)
         saved.append((q, k, v, probs))
-        if kw.get("collect") is not None:
-            kw["collect"].append(probs)
 
     def bwd(g, acc):
         grad = np.empty((rows, 3 * d), dtype=np.float64)
@@ -785,9 +782,6 @@ class GradCheckReport:
     def passed(self):
         return all(e.max_rel_error < self.tolerance for e in self.entries)
 
-    def failures(self):
-        return [e for e in self.entries if e.max_rel_error >= self.tolerance]
-
 
 def max_relative_error(analytic, numeric, floor=1e-3):
     """Largest |a - n| / max(|a|, |n|, floor) over two same-shape arrays
@@ -938,29 +932,18 @@ def _trial_inputs(kind, shape, rng, trial=0):
     raise KeyError(f"no trial recipe for op kind '{kind}'")
 
 
-def check_gradients(kinds=None, trials=10, tolerance=1e-4, seed=1234,
-                    trial_shapes=None):
-    """Finite-difference sweep over op kinds; failures land in the report.
-
-    ``trial_shapes`` fixes the base (rows, cols) shape of each trial;
-    otherwise ``trials`` random shapes are drawn per kind.
-    """
-    if kinds is None:
-        kinds = OP_KINDS
-    elif isinstance(kinds, str):
-        kinds = [kinds]
+def check_gradients(kinds=OP_KINDS, trials=10, tolerance=1e-4, seed=1234):
+    """Finite-difference sweep over op kinds, ``trials`` random base
+    (rows, cols) shapes per kind; failures land in the report."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tolerance=tolerance)
     for kind in kinds:
-        if trial_shapes is not None:
-            shapes = [tuple(s) for s in trial_shapes]
-        else:
-            shapes = [
-                (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-                for _ in range(trials)
-            ]
+        shapes = [
+            (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            for _ in range(trials)
+        ]
         for trial, shape in enumerate(shapes):
             tensors, kwargs = _trial_inputs(kind, shape, rng, trial)
             err = check_op_gradient(kind, tensors, kwargs, rng=rng)

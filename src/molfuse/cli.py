@@ -254,9 +254,10 @@ def strategy_gradient_errors(seed=0):
     measured on a 2-molecule batch at reduced width."""
     corpus = ["CC(=O)O", "C1CC1"]
     vocab = Vocabulary.build(corpus)
+    graphs = [parse(s) for s in corpus]
     mols = [
-        EncodedMolecule(parse(s), tokenize(s, vocab), y)
-        for s, y in zip(corpus, (0.4, -0.6))
+        EncodedMolecule(g, tokenize(g.tokens, vocab), y)
+        for g, y in zip(graphs, (0.4, -0.6))
     ]
     errors = {}
     for strategy in STRATEGIES:

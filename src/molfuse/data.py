@@ -9,7 +9,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .smiles import ParsedMolecule, SmilesError, parse, tokenize_raw
+from .smiles import ParsedMolecule, SmilesError, parse
 
 PROTOCOL_SEEDS = (0, 7, 42, 100, 2024)
 TASK_KINDS = ("regression", "binary-classification")
@@ -51,15 +51,9 @@ class DataRecord:
     smiles: str
     label: float
     row_index: int
-    # the parse's ParsedMolecule (arrays and tokens, no atoms or bonds),
-    # kept by load_csv so set-up parses each SMILES once
-    graph: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def raw_tokens(self):
-        """The SMILES's ``tokenize_raw`` list: the one the kept parse was
-        read from, or a fresh scan for a record without one."""
-        return self.graph.tokens if self.graph is not None else tokenize_raw(self.smiles)
+    # the parse's ParsedMolecule (arrays and tokens, no atoms or bonds):
+    # load_csv parses each SMILES once, and set-up reads only this
+    graph: ParsedMolecule = field(repr=False, compare=False)
 
 
 @dataclass

@@ -60,13 +60,6 @@ class TripleBatch:
     def __len__(self):
         return len(self.anchor_idx)
 
-    def materialize(self, anchors, positives):
-        """Concrete (a, p, n) vector triples, for oracle comparisons."""
-        return [
-            (anchors[i], positives[i], positives[j])
-            for i, j in zip(self.anchor_idx, self.neg_idx)
-        ]
-
 
 def derangement(n, rng):
     """Uniform fixed-point-free permutation of range(n) via rejection."""

@@ -76,15 +76,10 @@ class SmilesEncoder:
             params.extend(layer.values())
         return params
 
-    def embed(self, tape, token_ids, positions=None):
-        """Token embedding + learned positional embedding, (rows x d).
-
-        ``positions`` gives each row's position within its own sequence;
-        by default the rows form one sequence.
-        """
+    def embed(self, tape, token_ids, positions):
+        """Token embedding + learned positional embedding, (rows x d);
+        ``positions`` gives each row's position within its own sequence."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        if positions is None:
-            positions = np.arange(len(token_ids), dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and positions.max() >= self.config.max_len:
             raise IndexError(
@@ -95,21 +90,17 @@ class SmilesEncoder:
         pos = tape.apply("gather-rows", self.position_embedding, indices=positions)
         return tape.apply("add", tok, pos)
 
-    def encode(self, tape, x, offsets=None, collect_attention=None):
+    def encode(self, tape, x, offsets):
         """Stack of self-attention + feed-forward blocks on packed rows.
 
-        ``offsets`` delimit the sequences (default: all rows are one);
-        attention stays within a sequence, everything else is row-wise.
-        ``collect_attention``, when a list, receives every layer's
-        per-sequence (heads x L x L) attention probabilities.
+        ``offsets`` delimit the sequences; attention stays within a
+        sequence, everything else is row-wise.
         """
-        if offsets is None:
-            offsets = np.array([0, x.shape[0]])
         for layer in self.layers:
             qkv = tape.apply("matmul", x, layer["wqkv"])
             ctx = tape.apply(
                 "packed-attention", qkv, offsets=offsets,
-                num_heads=self.config.num_heads, collect=collect_attention,
+                num_heads=self.config.num_heads,
             )
             attn = tape.apply("matmul", ctx, layer["wo"], layer["bo"])
             x = tape.apply(
@@ -124,14 +115,14 @@ class SmilesEncoder:
             )
         return x
 
-    def forward(self, tape, packed, fuse_fn=None, collect_attention=None):
+    def forward(self, tape, packed, fuse_fn=None):
         """Final hidden state of a :class:`~molfuse.smiles.PackedBatch`;
         ``fuse_fn(tape, e_in)``, if given, maps the embedded rows to the
         blocks' input (how another model's rows are injected)."""
         x = self.embed(tape, packed.token_ids, packed.positions)
         if fuse_fn is not None:
             x = fuse_fn(tape, x)
-        return self.encode(tape, x, packed.offsets, collect_attention)
+        return self.encode(tape, x, packed.offsets)
 
     def extract(self, tape, e_out, offsets, atom_rows):
         """(node embeddings, CLS embeddings) from the final hidden state.

@@ -148,9 +148,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.token_to_id)
 
-    def id_of(self, token):
-        return self.token_to_id.get(token, self.UNK)
-
     @classmethod
     def build(cls, smiles_iter):
         """Vocabulary over every token occurring in the given strings."""
@@ -264,15 +261,13 @@ def tokenize_raw(smiles):
     return out
 
 
-def tokenize(smiles, vocab, raw=None):
-    """TokenSequence with CLS prepended and atom positions collected.
+def tokenize(raw, vocab):
+    """TokenSequence of a :func:`tokenize_raw` list, with CLS prepended and
+    atom positions collected.
 
     Tokens absent from the vocabulary map to the unknown id; atom tokens
-    keep their position in the alignment either way. ``raw``, when given,
-    is the string's :func:`tokenize_raw` list, which is then not recomputed.
+    keep their position in the alignment either way.
     """
-    if raw is None:
-        raw = tokenize_raw(smiles)
     lookup = vocab.token_to_id.get
     unk = Vocabulary.UNK
     token_ids = [Vocabulary.CLS]

@@ -27,7 +27,9 @@ from .gnn import GNN_VARIANTS
 from .integration import FUSION_OPS, STRATEGIES, EncodedMolecule, IntegratedModel
 from .lm import run_mlm_pretraining
 from .optim import AdamState, adam_step
-from .smiles import ParsedMolecule, Vocabulary, parse, tokenize
+# parse is not called here: it stays bound because perfbench/tracing.py
+# patches it in every namespace that has looked it up
+from .smiles import Vocabulary, parse, tokenize
 
 DEFAULT_LABEL_COLUMNS = {"regression": "log_solubility",
                          "binary-classification": "p_np"}
@@ -221,17 +223,6 @@ class RunReport:
         ))
         return "\n".join(lines)
 
-    def comparable_records(self):
-        """Per-seed records with wall-clock timing stripped (determinism
-        checks compare these; elapsed time is the one non-reproducible
-        field)."""
-        out = []
-        for r in self.results:
-            rec = r.to_record()
-            rec.pop("timing")
-            out.append(rec)
-        return out
-
 
 def _mix(*parts):
     state = 0x9E3779B97F4A7C15
@@ -263,22 +254,18 @@ def evaluate(model, mols, task, batch_size=64):
 def prepare_molecules(records, vocab, max_len):
     """EncodedMolecule list; over-long sequences are dropped and counted.
 
-    A record's ``ParsedMolecule`` is reused when ``load_csv`` kept one;
-    a record without one is parsed here and kept as one.
+    Each record's kept parse gives both the graph and the token list.
     """
     mols = []
     dropped = 0
     unknown = 0
     for rec in records:
-        seq = tokenize(rec.smiles, vocab, rec.raw_tokens)
+        seq = tokenize(rec.graph.tokens, vocab)
         if len(seq) > max_len:
             dropped += 1
             continue
         unknown += seq.unknown_tokens
-        graph = rec.graph
-        if graph is None:
-            graph = ParsedMolecule.of(parse(rec.smiles))
-        mols.append(EncodedMolecule(graph, seq, rec.label))
+        mols.append(EncodedMolecule(rec.graph, seq, rec.label))
     return mols, dropped, unknown
 
 
@@ -290,7 +277,7 @@ def prepare_splits(config, records, seed):
     non-empty split.
     """
     splits = split(records, SplitSpec(config.ratios, seed))
-    vocab = Vocabulary.from_token_lists(r.raw_tokens for r in splits[0])
+    vocab = Vocabulary.from_token_lists(r.graph.tokens for r in splits[0])
     prepared = []
     for name, recs in zip(("train", "valid", "test"), splits):
         mols, dropped, unknown = prepare_molecules(recs, vocab, config.max_len)
@@ -299,6 +286,12 @@ def prepare_splits(config, records, seed):
                              f"{len(recs)} molecules of the {name} split")
         prepared.append((mols, dropped, unknown))
     return splits, vocab, prepared
+
+
+def load_dataset(config):
+    """The ``load_csv`` result of the config's dataset, columns and task."""
+    return load_csv(config.dataset, config.smiles_column, config.label_column,
+                    TaskKind(config.task))
 
 
 def build_model(config, vocab_size, seed):
@@ -371,8 +364,8 @@ def train_epoch(model, state, mols, batch_size, seed, epoch):
         adam_step(state, backward(loss, tape))
 
 
-def train_one(config, seed, out_dir=None, load_result=None):
-    """One full protocol run for one seed.
+def train_one(config, seed, load_result, out_dir=None):
+    """One full protocol run for one seed on a :func:`load_dataset` result.
 
     split -> (optional MLM stage) -> epoch loop with Adam -> early stop on
     the validation metric -> test metric from the best-validation
@@ -393,16 +386,13 @@ def train_one(config, seed, out_dir=None, load_result=None):
         result.minor_faults = minor_faults() - faults_before
         return model, result
 
-    data = load_result or load_csv(
-        config.dataset, config.smiles_column, config.label_column, task
-    )
     (train_recs, _, test_recs), vocab, prepared = prepare_splits(
-        config, data.records, seed)
+        config, load_result.records, seed)
     result.naive_metric = naive_baseline(train_recs, test_recs, task)
     (train_mols, _, _), (valid_mols, _, _), (test_mols, _, _) = prepared
     result.counters = {
-        "quarantined": len(data.quarantined),
-        "parse_warnings": data.warnings,
+        "quarantined": len(load_result.quarantined),
+        "parse_warnings": load_result.warnings,
         "dropped_too_long": sum(dropped for _, dropped, _ in prepared),
         "unknown_tokens": sum(unknown for _, _, unknown in prepared),
         "vocab_size": len(vocab),
@@ -464,7 +454,7 @@ def train_one(config, seed, out_dir=None, load_result=None):
 
 def _train_seed_entry(config_dict, seed, out_dir, load_result):
     config = RunConfig.from_dict(config_dict)
-    _, result = train_one(config, seed, out_dir=out_dir, load_result=load_result)
+    _, result = train_one(config, seed, load_result, out_dir=out_dir)
     return result
 
 
@@ -506,16 +496,13 @@ def run_seeds(config, out_dir=None):
     config.workers > 1; results are ordered by the configured seed list
     either way.
     """
-    data = load_csv(
-        config.dataset, config.smiles_column, config.label_column,
-        TaskKind(config.task),
-    )
+    data = load_dataset(config)
     if config.workers > 1:
         results = _run_parallel(config, data, out_dir)
     else:
         results = []
         for seed in config.seeds:
-            _, result = train_one(config, seed, out_dir=out_dir, load_result=data)
+            _, result = train_one(config, seed, data, out_dir=out_dir)
             results.append(result)
     return RunReport(config=config.to_dict(), results=results)
 
@@ -540,8 +527,7 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
 
     retain_heap()
     seed = config.seeds[0]
-    task = TaskKind(config.task)
-    data = load_csv(config.dataset, config.smiles_column, config.label_column, task)
+    data = load_dataset(config)
     _, vocab, ((train_mols, _, _), _, _) = prepare_splits(config, data.records, seed)
 
     runners = {}

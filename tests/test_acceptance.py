@@ -36,12 +36,13 @@ from molfuse.smiles import (
 from molfuse.training import (
     RunConfig,
     attention_scaling,
+    load_dataset,
     profile_strategies,
     train_one,
 )
 from molfuse.synthdata import write_dataset
 
-from tests.conftest import CURATED_CORPUS
+from tests.conftest import CURATED_CORPUS, encoder_attention, triples
 from tests.test_integration import (
     brute_force_triplet_total,
     chunked_triplet_total,
@@ -106,7 +107,7 @@ def test_c2_parser_corpus_and_alignment():
     aligned = sum(
         1
         for r in data.records
-        if len(tokenize(r.smiles, vocab).atom_token_positions)
+        if len(tokenize(tokenize_raw(r.smiles), vocab).atom_token_positions)
         == parse(r.smiles).num_atoms
     )
     reasons_ok = all(q.reason for q in data.quarantined)
@@ -140,14 +141,14 @@ def test_c3_loss_oracles():
                 Tape(), constant(lm), constant(mp), tb, 1.0
             ).values
         )
-        want = float(brute_force_triplet_total(tb.materialize(lm, mp), 1.0))
+        want = float(brute_force_triplet_total(triples(tb, lm, mp), 1.0))
         if got == want:
             exact += 1
     mat_rng = np.random.default_rng(5)
     lm = mat_rng.normal(size=(10, 4))
     mp = mat_rng.normal(size=(10, 4))
     tb = build_triples(lm, mp, [0, 5, 10], seed=8)
-    mat = tb.materialize(lm, mp)
+    mat = triples(tb, lm, mp)
     flat = chunked_triplet_total(mat, 1.0, chunk=len(mat))
     chunk_ok = all(
         chunked_triplet_total(mat, 1.0, chunk=k) == flat for k in (1, 2, len(mat))
@@ -273,8 +274,8 @@ def test_c5_structural_invariances():
     tape = Tape(grad_enabled=False)
     base = encoder.forward(tape, pack_batch([target])).values
     packed = pack_batch([sequence([0, 9, 8]), target, sequence(list(range(16)))])
-    attn = []
-    batch = encoder.forward(tape, packed, collect_attention=attn).values
+    batch = encoder.forward(tape, packed).values
+    attn = encoder_attention(encoder, packed)
     batch_drift_lm = np.abs(batch[packed.offsets[1]:packed.offsets[2]] - base).max()
     attn_row_err = max(np.abs(probs.sum(axis=-1) - 1.0).max() for probs in attn)
     # one (heads x L x L) block per sequence: no row sees another sequence
@@ -334,7 +335,7 @@ def test_c7_desk_scale_learning(dataset, task, label):
             max_epochs=5, patience=5,
         )
         started = time.time()
-        _, result = train_one(config, 0)
+        _, result = train_one(config, 0, load_dataset(config))
         elapsed = time.time() - started
         if task == "regression":
             ok = result.test_metric < result.naive_metric

@@ -25,6 +25,8 @@ from molfuse.cli import (
 from molfuse.synthdata import write_dataset
 from molfuse.training import CHOICES, RunConfig
 
+from tests.conftest import without_timing
+
 
 @pytest.fixture(scope="module")
 def tiny_csv(tmp_path_factory):
@@ -288,14 +290,12 @@ class TestTrainCommand:
         assert "ratios = 0.7:0.2:0.1\n" in snapshot
         assert (second / "config.txt").read_text() == snapshot
 
-        def comparable_records(out_dir):
-            records = [json.loads(line) for line in
-                       (out_dir / "report.jsonl").read_text().splitlines()]
-            for record in records:
-                record.pop("timing", None)
-            return records
-
-        assert comparable_records(second) == comparable_records(first)
+        reports = [
+            without_timing(map(json.loads,
+                               (out / "report.jsonl").read_text().splitlines()))
+            for out in (first, second)
+        ]
+        assert reports[1] == reports[0]
 
     def test_concat_fusion_autoconfigures_head(self, tiny_csv, tmp_path):
         code = main(

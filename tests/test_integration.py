@@ -17,10 +17,10 @@ from molfuse.integration import (
     triplet_loss,
 )
 from molfuse.optim import AdamState
-from molfuse.smiles import Vocabulary, pack_batch, parse, tokenize
+from molfuse.smiles import Vocabulary, pack_batch, parse, tokenize, tokenize_raw
 from molfuse.training import RunConfig
 
-from tests.conftest import CURATED_CORPUS
+from tests.conftest import CURATED_CORPUS, triples
 
 VOCAB = Vocabulary.build([s for s, *_ in CURATED_CORPUS])
 
@@ -37,7 +37,7 @@ def tiny_model(strategy, seed=0, fusion="sum", task="regression", **overrides):
 def mols_for(smiles_list, labels=None):
     labels = labels if labels is not None else [0.5] * len(smiles_list)
     return [
-        EncodedMolecule(parse(s), tokenize(s, VOCAB), y)
+        EncodedMolecule(parse(s), tokenize(tokenize_raw(s), VOCAB), y)
         for s, y in zip(smiles_list, labels)
     ]
 
@@ -74,7 +74,7 @@ class TestBuildTriples:
         lm = np.zeros((2, 4))
         mp = np.arange(8.0).reshape(2, 4)
         tb = build_triples(lm, mp, [0, 2], seed=1)
-        mat = tb.materialize(lm, mp)
+        mat = triples(tb, lm, mp)
         np.testing.assert_array_equal(mat[0][2], mp[1])
         np.testing.assert_array_equal(mat[1][2], mp[0])
 
@@ -151,7 +151,7 @@ class TestTripletLoss:
             got = triplet_loss(
                 Tape(), constant(lm), constant(mp), tb, 1.0
             ).values
-            want = brute_force_triplet_total(tb.materialize(lm, mp), 1.0)
+            want = brute_force_triplet_total(triples(tb, lm, mp), 1.0)
             assert float(got) == float(want)
 
     def test_chunking_identity_k_1_2_n(self):
@@ -159,7 +159,7 @@ class TestTripletLoss:
         lm = rng.normal(size=(12, 5))
         mp = rng.normal(size=(12, 5))
         tb = build_triples(lm, mp, [0, 4, 9, 12], seed=4)
-        mat = tb.materialize(lm, mp)
+        mat = triples(tb, lm, mp)
         flat = chunked_triplet_total(mat, 1.0, chunk=len(mat))
         assert chunked_triplet_total(mat, 1.0, chunk=1) == flat
         assert chunked_triplet_total(mat, 1.0, chunk=2) == flat
@@ -181,7 +181,7 @@ class TestTripletLoss:
             )
             assert val >= 0.0
             max_dp = max(
-                np.sqrt(((a - p) ** 2).sum()) for a, p, _ in tb.materialize(lm, mp)
+                np.sqrt(((a - p) ** 2).sum()) for a, p, _ in triples(tb, lm, mp)
             )
             assert val <= len(tb) * (1.0 + max_dp) + 1e-12
 
@@ -282,7 +282,7 @@ class TestContrastStrategies:
         mpnn_states = model.gnn.run(ref_tape, gb)
         tb = build_triples(lm_nodes, mpnn_states, gb.offsets, 17)
         trip = brute_force_triplet_total(
-            tb.materialize(lm_nodes.values, mpnn_states.values), 1.0
+            triples(tb, lm_nodes.values, mpnn_states.values), 1.0
         )
         assert float(total.values) == pytest.approx(pred_loss + 0.1 * trip, rel=1e-12)
 
@@ -304,7 +304,7 @@ class TestContrastStrategies:
         # only derangement of size 2 is the swap
         tb = TripleBatch(np.array([0, 1]), np.array([1, 0]))
         trip = brute_force_triplet_total(
-            tb.materialize(cls_rows.values, pooled.values), 1.0
+            triples(tb, cls_rows.values, pooled.values), 1.0
         )
         assert float(total.values) == pytest.approx(pred_loss + 0.5 * trip, rel=1e-12)
 

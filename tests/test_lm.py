@@ -10,8 +10,16 @@ from molfuse.lm import (
     run_mlm_pretraining,
 )
 from molfuse.optim import AdamState
-from molfuse.smiles import TokenSequence, Vocabulary, pack_batch, tokenize
+from molfuse.smiles import (
+    TokenSequence,
+    Vocabulary,
+    pack_batch,
+    tokenize,
+    tokenize_raw,
+)
 from molfuse.training import RunConfig
+
+from tests.conftest import encoder_attention
 
 VOCAB_SIZE = 12
 
@@ -44,40 +52,40 @@ def zero_block_weights(enc):
 class TestEmbed:
     def test_shape(self, encoder):
         tape = Tape()
-        out = encoder.embed(tape, np.arange(14) % 12)
+        out = encoder.embed(tape, np.arange(14) % 12, np.arange(14))
         assert out.shape == (14, 16)
 
     def test_repeated_token_differs_only_by_position(self, encoder):
         tape = Tape()
-        out = encoder.embed(tape, np.array([5, 5]))
+        out = encoder.embed(tape, np.array([5, 5]), np.array([0, 1]))
         pos = encoder.position_embedding.values
         assert not np.array_equal(out.values[0], out.values[1])
         encoder.position_embedding.values[1] = pos[0]
-        out2 = encoder.embed(Tape(), np.array([5, 5]))
+        out2 = encoder.embed(Tape(), np.array([5, 5]), np.array([0, 1]))
         np.testing.assert_array_equal(out2.values[0], out2.values[1])
 
     def test_zero_embeddings_give_zero(self, encoder):
         encoder.token_embedding.values[:] = 0.0
         encoder.position_embedding.values[:] = 0.0
-        out = encoder.embed(Tape(), np.array([1, 2, 3]))
+        out = encoder.embed(Tape(), np.array([1, 2, 3]), np.arange(3))
         assert not out.values.any()
 
     def test_out_of_range_id(self, encoder):
         with pytest.raises(IndexError):
-            encoder.embed(Tape(), np.array([99]))
+            encoder.embed(Tape(), np.array([99]), np.array([0]))
 
     def test_over_max_len(self):
         enc = SmilesEncoder(small_config(max_len=4), VOCAB_SIZE,
                             np.random.default_rng(0))
         with pytest.raises(IndexError):
-            enc.embed(Tape(), np.zeros(5, dtype=np.int64))
+            enc.embed(Tape(), np.zeros(5, dtype=np.int64), np.arange(5))
 
 
 class TestEncode:
     def test_shape_preserved(self, encoder):
         tape = Tape()
-        e = encoder.embed(tape, np.arange(10) % 12)
-        out = encoder.encode(tape, e)
+        e = encoder.embed(tape, np.arange(10) % 12, np.arange(10))
+        out = encoder.encode(tape, e, np.array([0, 10]))
         assert out.shape == (10, 16)
 
     def test_batch_invariance(self, encoder):
@@ -99,8 +107,8 @@ class TestEncode:
         zero_block_weights(encoder)
         ids = np.array([1, 2, 3, 4])
         tape = Tape(grad_enabled=False)
-        e_in = encoder.embed(tape, ids)
-        out = encoder.encode(tape, e_in).values
+        e_in = encoder.embed(tape, ids, np.arange(4))
+        out = encoder.encode(tape, e_in, np.array([0, 4])).values
 
         x = e_in.values
         for _ in range(2):  # two blocks, each LN twice with unit gain
@@ -114,14 +122,13 @@ class TestEncode:
         enc = SmilesEncoder(small_config(num_layers=0), VOCAB_SIZE,
                             np.random.default_rng(1))
         tape = Tape(grad_enabled=False)
-        e_in = enc.embed(tape, np.array([3, 4, 5]))
-        out = enc.encode(tape, e_in)
+        e_in = enc.embed(tape, np.array([3, 4, 5]), np.arange(3))
+        out = enc.encode(tape, e_in, np.array([0, 3]))
         np.testing.assert_array_equal(out.values, e_in.values)
 
     def test_attention_rows_are_probabilities(self, encoder):
         packed = pack_batch([token_sequence([0, 4, 5, 6]), token_sequence([0, 1])])
-        attn = []
-        encoder.forward(Tape(grad_enabled=False), packed, collect_attention=attn)
+        attn = encoder_attention(encoder, packed)
         # layers x sequences, each (heads x L x L)
         assert [p.shape for p in attn] == [(2, 4, 4), (2, 2, 2)] * 2
         for probs in attn:
@@ -132,7 +139,7 @@ class TestEncode:
 class TestExtract:
     def test_phenol_row_count(self, encoder):
         vocab = Vocabulary.build(["C1=CC=C(C=C1)O"])
-        seq = tokenize("C1=CC=C(C=C1)O", vocab)
+        seq = tokenize(tokenize_raw("C1=CC=C(C=C1)O"), vocab)
         enc = SmilesEncoder(small_config(), len(vocab),
                             np.random.default_rng(0))
         tape = Tape(grad_enabled=False)
@@ -145,13 +152,13 @@ class TestExtract:
 
     def test_empty_positions_error(self, encoder):
         tape = Tape(grad_enabled=False)
-        e_out = encoder.encode(tape, encoder.embed(tape, np.array([0, 4, 5])))
+        e_out = encoder.forward(tape, pack_batch([token_sequence([0, 4, 5])]))
         with pytest.raises(ValueError, match="empty"):
             encoder.extract(tape, e_out, [0, 3], [])
 
     def test_cls_position_rejected(self, encoder):
         tape = Tape(grad_enabled=False)
-        e_out = encoder.encode(tape, encoder.embed(tape, np.array([0, 4, 5])))
+        e_out = encoder.forward(tape, pack_batch([token_sequence([0, 4, 5])]))
         with pytest.raises(ValueError, match="CLS"):
             encoder.extract(tape, e_out, [0, 3], [0, 1])
 
@@ -202,7 +209,7 @@ class TestMlm:
         enc = SmilesEncoder(cfg, len(vocab), rng)
         head = MlmHead(cfg.hidden_dim, len(vocab), rng)
         state = AdamState(enc.parameters() + head.parameters(), lr=0.01)
-        seqs = [tokenize(s, vocab) for s in smiles_list]
+        seqs = [tokenize(tokenize_raw(s), vocab) for s in smiles_list]
         return enc, head, state, seqs
 
     def test_rate_zero_skips(self):

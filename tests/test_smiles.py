@@ -26,23 +26,23 @@ def vocab():
 
 class TestTokenize:
     def test_cco(self, vocab):
-        seq = tokenize("CCO", vocab)
+        seq = tokenize(tokenize_raw("CCO"), vocab)
         assert seq.token_ids == [Vocabulary.CLS] + [
-            vocab.id_of(t) for t in ("C", "C", "O")
+            vocab.token_to_id[t] for t in ("C", "C", "O")
         ]
         assert seq.atom_token_positions == [1, 2, 3]
         assert seq.token_ids[0] == Vocabulary.CLS
 
     def test_phenol_tokens(self, vocab):
-        seq = tokenize("C1=CC=C(C=C1)O", vocab)
+        seq = tokenize(tokenize_raw("C1=CC=C(C=C1)O"), vocab)
         expected = ["C", "1", "=", "C", "C", "=", "C", "(", "C", "=", "C", "1", ")", "O"]
         assert [t for t, _ in tokenize_raw("C1=CC=C(C=C1)O")] == expected
-        assert seq.token_ids[1:] == [vocab.id_of(t) for t in expected]
+        assert seq.token_ids[1:] == [vocab.token_to_id[t] for t in expected]
         assert len(seq.atom_token_positions) == 7
 
     def test_bracket_atom_single_token(self, vocab):
-        seq = tokenize("[NH4+]", vocab)
-        assert seq.token_ids[1:] == [vocab.id_of("[NH4+]")]
+        seq = tokenize(tokenize_raw("[NH4+]"), vocab)
+        assert seq.token_ids[1:] == [vocab.token_to_id["[NH4+]"]]
         assert seq.unknown_tokens == 0
         assert seq.atom_token_positions == [1]
 
@@ -64,7 +64,7 @@ class TestTokenize:
             tokenize_raw("[Xx]")
 
     def test_unknown_non_atom_token_maps_to_unk(self, vocab):
-        seq = tokenize("C~C", vocab)
+        seq = tokenize(tokenize_raw("C~C"), vocab)
         assert seq.token_ids[2] == Vocabulary.UNK
         assert seq.unknown_tokens == 1
         assert seq.atom_token_positions == [1, 3]
@@ -275,7 +275,7 @@ class TestFeaturize:
 class TestAlignment:
     def test_alignment_soundness_on_corpus(self, corpus_smiles, vocab):
         for s in corpus_smiles:
-            seq = tokenize(s, vocab)
+            seq = tokenize(tokenize_raw(s), vocab)
             g = parse(s)
             assert len(seq.atom_token_positions) == g.num_atoms, s
             assert seq.atom_token_positions == sorted(seq.atom_token_positions)
@@ -290,7 +290,7 @@ class TestAlignment:
 
 class TestPackBatch:
     def test_offsets_positions_and_atom_rows(self, vocab):
-        seqs = [tokenize("CCO", vocab), tokenize("C", vocab)]
+        seqs = [tokenize(tokenize_raw(s), vocab) for s in ("CCO", "C")]
         packed = pack_batch(seqs)
         np.testing.assert_array_equal(packed.offsets, [0, 4, 6])
         np.testing.assert_array_equal(packed.positions, [0, 1, 2, 3, 0, 1])
@@ -300,14 +300,14 @@ class TestPackBatch:
         np.testing.assert_array_equal(packed.atom_rows, [1, 2, 3, 5])
 
     def test_single_sequence_is_unchanged(self, vocab):
-        seq = tokenize("CC(=O)O", vocab)
+        seq = tokenize(tokenize_raw("CC(=O)O"), vocab)
         packed = pack_batch([seq])
         np.testing.assert_array_equal(packed.token_ids, seq.token_ids)
         np.testing.assert_array_equal(packed.positions, np.arange(len(seq)))
         np.testing.assert_array_equal(packed.atom_rows, seq.atom_token_positions)
 
     def test_identical_rows(self, vocab):
-        seqs = [tokenize("CC(=O)O", vocab) for _ in range(3)]
+        seqs = [tokenize(tokenize_raw("CC(=O)O"), vocab) for _ in range(3)]
         packed = pack_batch(seqs)
         blocks = packed.token_ids.reshape(3, -1)
         assert (blocks[0] == blocks[1]).all() and (blocks[1] == blocks[2]).all()

@@ -16,10 +16,10 @@ import pytest
 from molfuse import autodiff, lm, training
 from molfuse.autodiff import Tape, backward, constant
 from molfuse.checkpoint import load_checkpoint, save_checkpoint
-from molfuse.data import CLASSIFICATION, REGRESSION, DataRecord
+from molfuse.data import CLASSIFICATION, REGRESSION
 from molfuse.integration import IntegratedModel
 from molfuse.optim import AdamState, adam_step
-from molfuse.smiles import ParsedMolecule, Vocabulary, parse
+from molfuse.smiles import Vocabulary
 from molfuse.synthdata import write_dataset
 from molfuse.training import (
     FLOORS,
@@ -29,6 +29,7 @@ from molfuse.training import (
     attention_scaling,
     build_model,
     evaluate,
+    load_dataset,
     logistic,
     profile_strategies,
     run_seeds,
@@ -36,6 +37,7 @@ from molfuse.training import (
     train_one,
 )
 
+from tests.conftest import without_timing
 from tests.test_integration import VOCAB, mols_for, tiny_model
 
 
@@ -54,6 +56,11 @@ def tiny_cls_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "tinycls.csv"
     write_dataset(path, "bbbp", 90, seed=32)
     return str(path)
+
+
+def train(config, seed, **kwargs):
+    """train_one on the config's own dataset."""
+    return train_one(config, seed, load_dataset(config), **kwargs)
 
 
 def tiny_config(dataset, **overrides):
@@ -145,28 +152,17 @@ class TestPrepareMolecules:
         training.prepare_splits(tiny_config(tiny_csv), loaded.records, 0)
         assert sorted(calls) == sorted(r.smiles for r in loaded.records)
 
-    def test_record_without_graph_is_parsed(self):
-        from molfuse.training import prepare_molecules
-
-        vocab = Vocabulary.build(["CCO"])
-        mols, _, _ = prepare_molecules([DataRecord("CCO", 1.0, 0)], vocab, 64)
-        ref = parse("CCO")
-        assert type(mols[0].graph) is ParsedMolecule
-        assert mols[0].graph.num_atoms == 3
-        np.testing.assert_array_equal(mols[0].graph.node_features, ref.node_features)
-        np.testing.assert_array_equal(mols[0].graph.edge_features, ref.edge_features)
-
 
 class TestTrainOne:
     def test_lr_zero_keeps_untrained_metric(self, tiny_csv):
         cfg_frozen = tiny_config(tiny_csv, lr=1e-30, max_epochs=2)
-        _, frozen = train_one(cfg_frozen, 0)
+        _, frozen = train(cfg_frozen, 0)
         assert len(set(round(v, 12) for v in frozen.val_history)) == 1
 
     def test_same_seed_bitwise_identical(self, tiny_csv):
         cfg = tiny_config(tiny_csv, strategy="contrast-node", max_epochs=2)
-        _, a = train_one(cfg, 0)
-        _, b = train_one(cfg, 0)
+        _, a = train(cfg, 0)
+        _, b = train(cfg, 0)
         ra, rb = a.to_record(), b.to_record()
         ra.pop("timing")
         rb.pop("timing")
@@ -174,23 +170,23 @@ class TestTrainOne:
 
     def test_beats_naive_on_tiny_regression(self, tiny_csv):
         cfg = tiny_config(tiny_csv, max_epochs=5)
-        _, res = train_one(cfg, 0)
+        _, res = train(cfg, 0)
         assert res.test_metric < res.naive_metric
 
     def test_early_stop_selects_best_epoch(self, tiny_csv):
         cfg = tiny_config(tiny_csv, max_epochs=6, patience=2)
-        _, res = train_one(cfg, 7)
+        _, res = train(cfg, 7)
         assert res.best_val_metric == min(res.val_history)
         assert res.val_history[res.best_epoch] == res.best_val_metric
 
     def test_mlm_stage_runs(self, tiny_csv):
         cfg = tiny_config(tiny_csv, mlm_pretrain=True, mlm_epochs=1, max_epochs=1)
-        _, res = train_one(cfg, 0)
+        _, res = train(cfg, 0)
         assert res.counters["mlm_batches"] + res.counters["mlm_skipped"] > 0
 
     def test_checkpoint_written(self, tiny_csv, tmp_path):
         cfg = tiny_config(tiny_csv, max_epochs=1)
-        _, res = train_one(cfg, 0, out_dir=str(tmp_path))
+        _, res = train(cfg, 0, out_dir=str(tmp_path))
         config, tensors = load_checkpoint(tmp_path / "checkpoint_seed0.bin")
         assert config["seed"] == 0
         assert any(name.startswith("lm.") for name in tensors)
@@ -253,7 +249,6 @@ class TestRunSeeds:
     def test_comparable_records_have_no_timing(self, tiny_csv):
         cfg = tiny_config(tiny_csv, max_epochs=1)
         report = run_seeds(cfg)
-        assert all("timing" not in r for r in report.comparable_records())
         assert all("timing" in r.to_record() for r in report.results)
 
     def test_parallel_workers_match_sequential(self, tiny_csv):
@@ -261,7 +256,8 @@ class TestRunSeeds:
         sequential = run_seeds(cfg)
         parallel = run_seeds(tiny_config(tiny_csv, seeds=(0, 7), max_epochs=2,
                                          workers=2))
-        assert sequential.comparable_records() == parallel.comparable_records()
+        assert (without_timing(r.to_record() for r in sequential.results)
+                == without_timing(r.to_record() for r in parallel.results))
 
     def test_workers_share_cores_and_parent_env_is_restored(
         self, tiny_csv, monkeypatch
@@ -329,7 +325,7 @@ class TestRunSeeds:
         monkeypatch.setattr(IntegratedModel, "forward_batch", forward)
         monkeypatch.setattr(training, "adam_step",
                             lambda *args: steps.append(real_step(*args)))
-        _, result = train_one(tiny_config(tiny_csv, max_epochs=2), 0)
+        _, result = train(tiny_config(tiny_csv, max_epochs=2), 0)
         assert result.failed and result.epochs_run == 0
         assert result.failure_reason == "non-finite value at epoch 0: non-finite loss"
         assert len(steps) == 1
@@ -345,7 +341,7 @@ class TestRunSeeds:
             state.params[0].values[0, 0] = np.nan
 
         monkeypatch.setattr(lm, "adam_step", poisoned)
-        _, result = train_one(
+        _, result = train(
             tiny_config(tiny_csv, mlm_pretrain=True, mlm_epochs=1), 0)
         assert result.failed and result.epochs_run == 0
         assert result.failure_reason == (
@@ -366,7 +362,7 @@ class TestRunSeeds:
         monkeypatch.setitem(autodiff._OPS, "cross-entropy-with-logits", inf_loss)
         steps = []
         monkeypatch.setattr(lm, "adam_step", lambda *args: steps.append(args))
-        _, result = train_one(
+        _, result = train(
             tiny_config(tiny_csv, mlm_pretrain=True, mlm_epochs=1), 0)
         assert result.failure_reason == (
             "non-finite value in MLM pretraining: non-finite MLM loss")
@@ -386,7 +382,7 @@ class TestRunSeeds:
             return loss, preds, info
 
         monkeypatch.setattr(IntegratedModel, "forward_batch", forward)
-        _, result = train_one(tiny_config(tiny_csv, max_epochs=2), 0)
+        _, result = train(tiny_config(tiny_csv, max_epochs=2), 0)
         assert result.failure_reason == (
             "non-finite value at epoch 0: non-finite prediction")
 
@@ -394,7 +390,7 @@ class TestRunSeeds:
         # no token of the batch selects the "Br" row, so no op reads its NaN
         # and the loss stays finite: the step is taken
         model = tiny_model("lm-baseline")
-        model.encoder.token_embedding.values[VOCAB.id_of("Br"), 0] = np.nan
+        model.encoder.token_embedding.values[VOCAB.token_to_id["Br"], 0] = np.nan
         state = AdamState(model.parameters())
         train_epoch(model, state, mols_for(["CCO", "C1CC1"]), 2, 0, 0)
         assert state.t == 1
@@ -523,7 +519,7 @@ class TestClassificationRun:
             tiny_cls_csv, task="binary-classification", max_epochs=6,
             strategy="late-fusion",
         )
-        _, res = train_one(cfg, 0)
+        _, res = train(cfg, 0)
         assert res.test_metric > 0.0
         assert np.isfinite(res.naive_metric)
 

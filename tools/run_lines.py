@@ -8,13 +8,16 @@ recorded, this runs at small model sizes:
 
 - ``molfuse train`` for all seven strategies on both bundled CSVs, and
   with MLM pretraining on ``data/bbbp.csv``;
+- ``molfuse train --config`` on the ``config.txt`` snapshot of the first
+  of those runs, and on two files it rejects: one with a comment line, a
+  blank line and an unknown key, one with a line that has no ``=``;
 - the ``max``, ``concat`` and ``gate`` fusion ops for the three strategies
   that fuse, and ``--frozen-mpnn``, ``--message-steps 0`` and
   ``--workers 2``;
 - ``molfuse ablate gnn`` and ``molfuse ablate splits``;
 - ``molfuse profile`` and ``molfuse profile --synthetic-seq-scaling``;
-- ``molfuse parse --file`` over every bundled SMILES, and ``molfuse
-  gradcheck``;
+- ``molfuse parse --file`` over every bundled SMILES, ``molfuse parse
+  <one SMILES> --verbose`` and ``molfuse gradcheck``;
 - ``perfbench/worker.py --smoke`` for each benchmark workload.
 
 It then prints, per module, each line of a compiled code object that none
@@ -88,10 +91,22 @@ def cli_runs(root, work):
     esol = ["--dataset", os.path.join(root, "data", "esol.csv")]
     bbbp = ["--dataset", os.path.join(root, "data", "bbbp.csv"),
             "--task", "binary-classification"]
-    small = SMALL + ["--out", os.path.join(work, "out")]
+    out = os.path.join(work, "out")
+    small = SMALL + ["--out", out]
     runs = [(f"train {s} {name}", ["train", "--strategy", s, *data, *small])
             for name, data in (("esol", esol), ("bbbp", bbbp))
             for s in STRATEGIES]
+    # second, so that it reads the first run's snapshot before a later
+    # run overwrites it
+    runs.insert(1, ("train --config <snapshot>",
+                    ["train", "--config", os.path.join(out, "config.txt"),
+                     "--out", out]))
+    for name, text in (("unknown-key", "# comment\n\nbogus = 1\n"),
+                       ("no-equals", "seeds 0\n")):
+        path = os.path.join(work, f"{name}.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        runs.append((f"train --config <{name}>", ["train", "--config", path]))
     runs.append(("train lm-baseline bbbp --mlm-pretrain",
                  ["train", *bbbp, *small, "--mlm-pretrain", "--mlm-epochs", "1"]))
     runs += [(f"train {s} --fusion {op}",
@@ -117,6 +132,7 @@ def cli_runs(root, work):
             with open(data[1], newline="") as src:
                 fh.writelines(row["smiles"] + "\n" for row in csv.DictReader(src))
     runs.append(("parse --file", ["parse", "--file", smiles]))
+    runs.append(("parse --verbose", ["parse", "C1=CC=C(C=C1)O", "--verbose"]))
     runs.append(("gradcheck", ["gradcheck", "--trials", "1"]))
     return runs
 

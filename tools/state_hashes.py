@@ -12,11 +12,11 @@ shape and bytes) and its ``tokenize_raw`` list, and every quarantined
 row's reason, so a parser change shows on its own line. It then takes
 each strategy's ``RunConfig`` from ``perfbench/worker.run_configs`` with
 ``max_epochs`` and ``patience`` set to 2, trains one seed with
-``training.train_one`` and prints one line per strategy: the workload,
-the strategy, the test metric, the
-SHA-256 of the trained ``state_dict`` (parameter names and float64
-bytes, in name order) and the SHA-256 of the trained model's predictions
-on the test split (float64 bytes, predicted in batches of 64 as
+``training.train_one`` on the ``training.load_dataset`` result and
+prints one line per strategy: the workload, the strategy, the test
+metric, the SHA-256 of the trained ``state_dict`` (parameter names and
+float64 bytes, in name order) and the SHA-256 of the trained model's
+predictions on the test split (float64 bytes, predicted in batches of 64 as
 ``training.evaluate`` does), so a change to the prediction path shows
 even where the test metric hides it. The configurations in ``EXTRA``,
 which no workload trains, run on the inputs and the first config of the
@@ -86,14 +86,11 @@ def dataset_hash(data):
     return digest.hexdigest()
 
 
-def predictions_hash(model, config, seed):
+def predictions_hash(model, config, data, seed):
     """SHA-256 of the model's test-split predictions."""
     import numpy as np
-    from molfuse.data import TaskKind, load_csv
     from molfuse.training import prepare_splits
 
-    data = load_csv(config.dataset, config.smiles_column, config.label_column,
-                    TaskKind(config.task))
     _, _, (_, _, (test_mols, _, _)) = prepare_splits(config, data.records, seed)
     preds = np.concatenate([model.predict(test_mols[lo:lo + PREDICT_BATCH])
                             for lo in range(0, len(test_mols), PREDICT_BATCH)])
@@ -109,8 +106,7 @@ def main(argv=None):
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 
-    from molfuse.data import TaskKind, load_csv
-    from molfuse.training import train_one
+    from molfuse.training import load_dataset, train_one
     from worker import run_configs
     from workloads import WORKLOADS, data_seed, write_inputs
 
@@ -120,10 +116,8 @@ def main(argv=None):
             write_inputs(workload, SEED, csv_path)
             seed = data_seed(SEED)
             configs = run_configs(workload, csv_path, seed)
-            first = configs[0]
-            data = load_csv(csv_path, first.smiles_column, first.label_column,
-                            TaskKind(first.task))
-            print(f"{name} parsed-dataset {dataset_hash(data)}", flush=True)
+            print(f"{name} parsed-dataset {dataset_hash(load_dataset(configs[0]))}",
+                  flush=True)
             runs = [(config, {}) for config in configs]
             runs += [(dataclasses.replace(configs[0], strategy=strategy,
                                           **overrides), overrides)
@@ -131,12 +125,13 @@ def main(argv=None):
             for config, overrides in runs:
                 config = dataclasses.replace(
                     config, max_epochs=EPOCHS, patience=EPOCHS)
-                model, result = train_one(config, seed)
+                data = load_dataset(config)
+                model, result = train_one(config, seed, data)
                 label = "".join([config.strategy] + [
                     f"+{key}={value}" for key, value in overrides.items()])
                 print(f"{name} {label} {result.test_metric!r} "
                       f"{state_hash(model.state_dict())} "
-                      f"{predictions_hash(model, config, seed)}", flush=True)
+                      f"{predictions_hash(model, config, data, seed)}", flush=True)
     return 0
 
 
