@@ -20,8 +20,9 @@ row; ``layer-normalize`` takes an optional fourth input, a residual added
 to x before normalizing. Both save a tape record and a buffer over the
 separate add.
 
-``add``, ``subtract`` and ``multiply`` accept one scalar (0-d) operand and
-broadcast it; all other shape combinations must match exactly.
+``add``, ``subtract`` and ``multiply`` broadcast a scalar (0-d) operand
+that needs no gradient (a constant); all other shape combinations must
+match exactly, so each input's gradient has its input's shape.
 """
 
 import itertools
@@ -230,15 +231,10 @@ def _kept(t, reader_id):
 
 
 def _elementwise_shapes(kind, a, b):
-    # one 0-d operand broadcasts; otherwise shapes must match
-    if a.shape != b.shape and a.shape != () and b.shape != ():
+    # a 0-d constant broadcasts; otherwise shapes must match
+    if a.shape != b.shape and not any(
+            t.shape == () and not t.requires_grad for t in (a, b)):
         raise ShapeError(kind, a.shape, b.shape)
-
-
-def _reduce_to(grad, shape):
-    if shape == () and grad.shape != ():
-        return np.asarray(grad.sum())
-    return grad
 
 
 @_register("add")
@@ -247,13 +243,12 @@ def _op_add(inputs, kw):
     a, b = inputs
     _elementwise_shapes("add", a, b)
     ia, ib = _grad_id(a), _grad_id(b)
-    sa, sb = a.shape, b.shape
 
     def bwd(g, acc):
         if ia is not None:
-            acc(ia, _reduce_to(g, sa))
+            acc(ia, g)
         if ib is not None:
-            acc(ib, _reduce_to(g, sb))
+            acc(ib, g)
 
     return a.values + b.values, bwd
 
@@ -264,13 +259,12 @@ def _op_subtract(inputs, kw):
     a, b = inputs
     _elementwise_shapes("subtract", a, b)
     ia, ib = _grad_id(a), _grad_id(b)
-    sa, sb = a.shape, b.shape
 
     def bwd(g, acc):
         if ia is not None:
-            acc(ia, _reduce_to(g, sa))
+            acc(ia, g)
         if ib is not None:
-            acc(ib, _reduce_to(-g, sb))
+            acc(ib, -g)
 
     return a.values - b.values, bwd
 
@@ -281,14 +275,13 @@ def _op_multiply(inputs, kw):
     a, b = inputs
     _elementwise_shapes("multiply", a, b)
     ia, ib = _grad_id(a), _grad_id(b)
-    sa, sb = a.shape, b.shape
     ka, kb = _kept(a, ib), _kept(b, ia)
 
     def bwd(g, acc):
         if ia is not None:
-            acc(ia, _reduce_to(g * kb.values, sa))
+            acc(ia, g * kb.values)
         if ib is not None:
-            acc(ib, _reduce_to(g * ka.values, sb))
+            acc(ib, g * ka.values)
 
     return a.values * b.values, bwd
 
@@ -492,14 +485,13 @@ def _op_layer_norm(inputs, kw):
     ix, igain, ibias, ires = (_grad_id(t) for t in (x, gain, bias, residual))
     need_gx = ix is not None or ires is not None
     kgain = gain if need_gx else None
-    eps = kw.get("eps", _LN_EPS)
     if residual is None:
         centered = x.values - x.values.mean(axis=-1, keepdims=True)
     else:
         centered = x.values + residual.values
         centered -= centered.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     out = centered * inv
     out *= gain.values
     out += bias.values
@@ -642,7 +634,7 @@ def _op_typed_edge_message(inputs, kw):
     for k in range(num_types):
         lo, hi = bounds[k], bounds[k + 1]
         np.matmul(h_src[lo:hi], mats[k].T, out=msgs[lo:hi])
-    out = kernels.scatter_add_into(np.zeros((n, w), dtype=np.float64), msgs, dst)
+    out = kernels.scatter_add_rows(msgs, dst, n)
 
     def bwd(g, acc):
         # gathered again rather than kept, so the tape holds no (E x w) rows
@@ -661,9 +653,7 @@ def _op_typed_edge_message(inputs, kw):
             for k in range(num_types):
                 lo, hi = bounds[k], bounds[k + 1]
                 np.matmul(g_dst[lo:hi], mats[k], out=back[lo:hi])
-            acc(ih, kernels.scatter_add_into(
-                np.zeros((n, w), dtype=np.float64), back, src
-            ))
+            acc(ih, kernels.scatter_add_rows(back, src, n))
 
     return out, bwd
 

@@ -9,7 +9,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .smiles import ParsedMolecule, SmilesError, parse
+from .smiles import MolecularGraph, SmilesError, parse
 
 PROTOCOL_SEEDS = (0, 7, 42, 100, 2024)
 TASK_KINDS = ("regression", "binary-classification")
@@ -51,9 +51,8 @@ class DataRecord:
     smiles: str
     label: float
     row_index: int
-    # the parse's ParsedMolecule (arrays and tokens, no atoms or bonds):
     # load_csv parses each SMILES once, and set-up reads only this
-    graph: ParsedMolecule = field(repr=False, compare=False)
+    graph: MolecularGraph = field(repr=False, compare=False)
 
 
 @dataclass
@@ -120,8 +119,7 @@ def load_csv(path, smiles_column, label_column, task):
 
     Quarantine reasons: missing/blank fields, non-finite or (for
     classification) non-binary labels, and SMILES the parser rejects.
-    A record keeps its parse as a :class:`ParsedMolecule`; the graph's
-    atoms and bonds are not kept.
+    A record keeps its parse's :class:`MolecularGraph`.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -163,8 +161,7 @@ def load_csv(path, smiles_column, label_column, task):
                 result.quarantined.append(QuarantineEntry(i, smiles, str(exc)))
                 continue
             result.warnings += len(graph.warnings)
-            result.records.append(
-                DataRecord(smiles, label, i, ParsedMolecule.of(graph)))
+            result.records.append(DataRecord(smiles, label, i, graph))
     if not result.records:
         raise ValueError(f"{path}: no usable records")
     return result

@@ -213,9 +213,7 @@ class GraphConv:
             own = tape.apply("add", own, tape.apply("matmul", summed, layer["w_nbr"]))
         return tape.apply("relu", own)
 
-    def run(self, tape, batch, fuse_fn=None):
-        if fuse_fn is not None:
-            raise ValueError("graphconv does not support message-level fusion")
+    def run(self, tape, batch):
         h = constant(batch.node_features)
         for layer in self.layers:
             h = self.layer_forward(tape, h, batch, layer)

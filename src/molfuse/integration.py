@@ -178,8 +178,6 @@ class IntegratedModel:
         self.config = config
         strategy, fusion = config.strategy, config.fusion
         d = config.hidden_dim
-        if strategy == "lm2mpnn" and config.gnn_variant != "mpnn":
-            raise ValueError("lm2mpnn requires the mpnn variant")
 
         self.encoder = None
         self.gnn = None

@@ -144,12 +144,12 @@ class SmilesEncoder:
 class PredictionHead:
     """Two-layer perceptron (in_width -> hidden -> 1) with relu between."""
 
-    def __init__(self, in_width, hidden, rng, name="head"):
+    def __init__(self, in_width, hidden, rng):
         self.in_width = in_width
-        self.w1 = parameter(xavier(rng, in_width, hidden), f"{name}.w1")
-        self.b1 = parameter(np.zeros(hidden), f"{name}.b1")
-        self.w2 = parameter(xavier(rng, hidden, 1), f"{name}.w2")
-        self.b2 = parameter(np.zeros(1), f"{name}.b2")
+        self.w1 = parameter(xavier(rng, in_width, hidden), "head.w1")
+        self.b1 = parameter(np.zeros(hidden), "head.b1")
+        self.w2 = parameter(xavier(rng, hidden, 1), "head.w2")
+        self.b2 = parameter(np.zeros(1), "head.b2")
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]

@@ -2,18 +2,19 @@
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
     """The parameters it steps (those of ``params`` that require a
     gradient), their first/second moment buffers and the shared step
     counter t."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {p.node_id: np.zeros_like(p.values) for p in self.params}
         self.v = {p.node_id: np.zeros_like(p.values) for p in self.params}
@@ -37,7 +38,7 @@ def adam_step(state, grads):
                 f"parameter '{label}' shape {p.values.shape}"
             )
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for p in params:
@@ -58,7 +59,7 @@ def adam_step(state, grads):
         v += step
         denom = np.divide(v, bias2, out=np.empty_like(v))
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         np.divide(m, bias1, out=step)
         np.multiply(state.lr, step, out=step)
         step /= denom

@@ -10,7 +10,7 @@ No kekulization and no valence validation is attempted; aromatic bonds
 carry order 1.5.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,51 +76,29 @@ class Bond:
     in_ring: bool = False
 
 
-@dataclass
-class MolecularGraph:
-    """Atoms and bonds, plus the arrays :func:`featurize` fills from them:
-    node and edge feature rows and ``bond_index``, the (bonds x 2) int64
-    endpoints (u, v) of every bond in bond order. ``tokens`` is the
-    :func:`tokenize_raw` list a graph built by :func:`parse` was read from,
-    kept so that set-up scans each SMILES string once.
-    """
-
-    atoms: list
-    bonds: list
-    node_features: np.ndarray = None
-    edge_features: np.ndarray = None
-    bond_index: np.ndarray = None
-    warnings: list = field(default_factory=list)
-    tokens: list = field(default=None, repr=False)
-
-    @property
-    def num_atoms(self):
-        return len(self.atoms)
-
-    @property
-    def num_bonds(self):
-        return len(self.bonds)
-
-
 @dataclass(slots=True, eq=False)
-class ParsedMolecule:
-    """What training reads of a parsed :class:`MolecularGraph`: its three
-    feature arrays, its ``tokenize_raw`` list and its atom count, under the
-    graph's own attribute names. A dataset keeps one per record, so the
-    graph's ``Atom`` and ``Bond`` objects are freed with the parse.
+class MolecularGraph:
+    """One parsed molecule, as training reads it: the (atoms x 9) node and
+    (bonds x 4) edge feature rows, ``bond_index``, the (bonds x 2) int64
+    endpoints (u, v) of every bond in bond order, the :func:`tokenize_raw`
+    list the SMILES was read from (kept so that set-up scans each SMILES
+    once) and the parse's warnings. A dataset keeps one per record; the
+    parse's ``Atom`` and ``Bond`` objects are freed with its walk.
     """
 
     node_features: np.ndarray
     edge_features: np.ndarray
     bond_index: np.ndarray
     tokens: list
-    num_atoms: int
+    warnings: tuple
 
-    @classmethod
-    def of(cls, graph):
-        node = graph.node_features
-        return cls(node, graph.edge_features, graph.bond_index, graph.tokens,
-                   node.shape[0])
+    @property
+    def num_atoms(self):
+        return self.node_features.shape[0]
+
+    @property
+    def num_bonds(self):
+        return self.bond_index.shape[0]
 
 
 @dataclass
@@ -281,7 +259,7 @@ def tokenize(raw, vocab):
 
 
 def parse(smiles):
-    """MolecularGraph with atoms in SMILES emission order.
+    """MolecularGraph of a SMILES string, atoms in emission order.
 
     Ring-closure bonds connect opener and closer; a bond between two
     aromatic atoms with no explicit symbol gets order 1.5 with the
@@ -400,15 +378,12 @@ def parse(smiles):
         raise SmilesError(
             f"duplicate bond between atoms {duplicate[0]} and {duplicate[1]}")
 
-    graph = MolecularGraph(atoms=atoms, bonds=bonds, warnings=warnings,
-                           tokens=raw)
-    featurize(graph)
-    return graph
+    return MolecularGraph(*featurize(atoms, bonds), raw, tuple(warnings))
 
 
-def featurize(graph):
-    """Fill the (num_atoms x 9) node and (num_bonds x 4) edge matrices and
-    the (num_bonds x 2) ``bond_index``.
+def featurize(atoms, bonds):
+    """The (atoms x 9) node and (bonds x 4) edge matrices and the
+    (bonds x 2) ``bond_index`` of a parse's atoms and bonds.
 
     Node row: [atomic number / 100, degree, formal charge, H count,
     aromatic, in-ring, period, group, 0]. H count for non-bracket atoms is
@@ -416,7 +391,6 @@ def featurize(graph):
     atoms use their explicit count. Edge row: [order, conjugated, in-ring,
     aromatic].
     """
-    atoms, bonds = graph.atoms, graph.bonds
     order_sum = [0.0] * len(atoms)
     edge_rows = []
     for b in bonds:
@@ -446,12 +420,9 @@ def featurize(graph):
             group,
             0.0,
         ))
-    node = _matrix(node_rows, NODE_FEATURE_DIM, np.float64)
-    edge = _matrix(edge_rows, EDGE_FEATURE_DIM, np.float64)
-    graph.node_features = node
-    graph.edge_features = edge
-    graph.bond_index = _matrix([(b.u, b.v) for b in bonds], 2, np.int64)
-    return node, edge
+    return (_matrix(node_rows, NODE_FEATURE_DIM, np.float64),
+            _matrix(edge_rows, EDGE_FEATURE_DIM, np.float64),
+            _matrix([(b.u, b.v) for b in bonds], 2, np.int64))
 
 
 def _matrix(rows, width, dtype):

@@ -10,10 +10,11 @@ import csv
 
 import numpy as np
 
-from .smiles import ELEMENTS, Atom, Bond, MolecularGraph, parse
+from .smiles import ELEMENTS, Atom, Bond, parse
 
 _CHAIN_ELEMENTS = ["C", "C", "C", "C", "C", "C", "N", "O", "O", "S", "F", "Cl"]
 _HALOGENS = {"F", "Cl", "Br", "I"}
+_HALOGEN_NUMBERS = [ELEMENTS[s][0] for s in _HALOGENS]
 
 
 def _add_atom(atoms, symbol, aromatic=False, charge=0, explicit_h=None, isotope=0):
@@ -65,7 +66,8 @@ def _random_fragment(rng, atoms, bonds):
 
 
 def random_molecule(rng, target_atoms):
-    """Random connected molecular graph of roughly target_atoms heavy atoms."""
+    """(atoms, bonds) of a random connected molecular graph of roughly
+    target_atoms heavy atoms."""
     atoms, bonds = [], []
     while len(atoms) < target_atoms:
         before = len(atoms)
@@ -95,7 +97,7 @@ def random_molecule(rng, target_atoms):
         elif atom.symbol == "C" and roll > 0.995:
             atom.isotope = 13
             atom.explicit_h = max(int(4 - order_sum), 0)
-    return MolecularGraph(atoms=atoms, bonds=bonds)
+    return atoms, bonds
 
 
 def _atom_token(atom, order_sum):
@@ -133,33 +135,32 @@ def _bond_symbol(bond, a, b):
     return "-" if (a.aromatic and b.aromatic) else ""
 
 
-def write_smiles(graph, root=0, stereo_rng=None, stereo_prob=0.0):
-    """Serialize a molecular graph to SMILES (DFS order, managed ring digits).
+def write_smiles(atoms, bonds, stereo_rng=None, stereo_prob=0.0):
+    """Serialize a connected molecular graph to SMILES (DFS order from
+    atom 0, managed ring digits).
 
     With stereo_prob > 0, some plain single bonds between non-aromatic
     atoms are written as '/' so downstream parsing exercises the
     tolerated-and-warned stereo path.
     """
-    n = graph.num_atoms
+    n = len(atoms)
     adj = [[] for _ in range(n)]
-    for bi, b in enumerate(graph.bonds):
+    for bi, b in enumerate(bonds):
         adj[b.u].append((b.v, bi))
         adj[b.v].append((b.u, bi))
     order_sum = [0.0] * n
-    for b in graph.bonds:
+    for b in bonds:
         order_sum[b.u] += b.order
         order_sum[b.v] += b.order
 
     visited = [False] * n
     tree_children = [[] for _ in range(n)]  # (child, bond index)
     back_edges_at = [[] for _ in range(n)]  # bond indices opening/closing here
-    used_bond = [False] * len(graph.bonds)
-    stack = [root]
-    visited[root] = True
-    dfs_order = []
+    used_bond = [False] * len(bonds)
+    stack = [0]
+    visited[0] = True
     while stack:
         u = stack.pop()
-        dfs_order.append(u)
         for v, bi in adj[u]:
             if used_bond[bi]:
                 continue
@@ -182,21 +183,21 @@ def write_smiles(graph, root=0, stereo_rng=None, stereo_prob=0.0):
 
     out = []
 
-    def emit(u, depth=0):
-        out.append(_atom_token(graph.atoms[u], order_sum[u]))
+    def emit(u):
+        out.append(_atom_token(atoms[u], order_sum[u]))
         for bi in back_edges_at[u]:
-            b = graph.bonds[bi]
+            b = bonds[bi]
             if bi not in digit_of:
                 d = free_digits.pop(0)
                 digit_of[bi] = d
-                out.append(_bond_symbol(b, graph.atoms[b.u], graph.atoms[b.v]))
+                out.append(_bond_symbol(b, atoms[b.u], atoms[b.v]))
                 out.append(digit_token(d))
             else:
                 out.append(digit_token(digit_of.pop(bi)))
         children = tree_children[u]
         for k, (v, bi) in enumerate(children):
-            b = graph.bonds[bi]
-            sym = _bond_symbol(b, graph.atoms[u], graph.atoms[v])
+            b = bonds[bi]
+            sym = _bond_symbol(b, atoms[u], atoms[v])
             if (
                 sym == ""
                 and b.order == 1.0
@@ -207,25 +208,28 @@ def write_smiles(graph, root=0, stereo_rng=None, stereo_prob=0.0):
             if k < len(children) - 1:
                 out.append("(")
                 out.append(sym)
-                emit(v, depth + 1)
+                emit(v)
                 out.append(")")
             else:
                 out.append(sym)
-                emit(v, depth + 1)
+                emit(v)
 
-    emit(root)
+    emit(0)
     for bi in list(digit_of):
         free_digits.append(digit_of.pop(bi))
     return "".join(out)
 
 
 def _graph_stats(graph):
+    # node feature columns: atomic number / 100, charge, aromatic, in-ring
+    node = graph.node_features
     n = graph.num_atoms
-    hetero = sum(1 for a in graph.atoms if a.symbol not in ("C",))
-    halogen = sum(1 for a in graph.atoms if a.symbol in _HALOGENS)
-    aromatic = sum(1 for a in graph.atoms if a.aromatic)
-    charged = sum(1 for a in graph.atoms if a.formal_charge != 0)
-    in_ring = sum(1 for a in graph.atoms if a.in_ring)
+    number = np.rint(node[:, 0] * 100)
+    hetero = int((number != ELEMENTS["C"][0]).sum())
+    halogen = int(np.isin(number, _HALOGEN_NUMBERS).sum())
+    aromatic = int(node[:, 4].sum())
+    charged = int((node[:, 2] != 0).sum())
+    in_ring = int(node[:, 5].sum())
     cyclomatic = graph.num_bonds - n + 1
     return {
         "atoms": n,
@@ -275,8 +279,8 @@ def generate_rows(n_rows, seed, size_mean, size_std, task):
     scores = []
     for _ in range(n_rows):
         target = int(np.clip(rng.normal(size_mean, size_std), 3, 60))
-        graph = random_molecule(rng, target)
-        smiles = write_smiles(graph, stereo_rng=rng, stereo_prob=0.01)
+        smiles = write_smiles(*random_molecule(rng, target), stereo_rng=rng,
+                              stereo_prob=0.01)
         stats = _graph_stats(parse(smiles))  # labels reflect the parsed view
         if task == "regression":
             rows.append((smiles, _solubility_label(stats, rng)))

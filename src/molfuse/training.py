@@ -31,6 +31,7 @@ from .optim import AdamState, adam_step
 # patches it in every namespace that has looked it up
 from .smiles import Vocabulary, parse, tokenize
 
+EVAL_BATCH = 64
 DEFAULT_LABEL_COLUMNS = {"regression": "log_solubility",
                          "binary-classification": "p_np"}
 # read by OpenBLAS (first) and OpenMP builds when they load
@@ -121,6 +122,8 @@ class RunConfig:
         check("mlm_rate", 0 <= self.mlm_rate <= 1, "must be in [0, 1]")
         check("hidden_dim", self.hidden_dim % self.num_heads == 0,
               f"not divisible by num_heads = {self.num_heads}")
+        check("gnn_variant", self.strategy != "lm2mpnn"
+              or self.gnn_variant == "mpnn", "lm2mpnn requires mpnn")
         if not self.label_column:
             self.label_column = DEFAULT_LABEL_COLUMNS[self.task]
 
@@ -236,13 +239,14 @@ def logistic(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-def evaluate(model, mols, task, batch_size=64):
-    """MAE (regression) or accuracy at logistic threshold 0.5."""
+def evaluate(model, mols, task):
+    """MAE (regression) or accuracy at logistic threshold 0.5, predicted
+    in batches of ``EVAL_BATCH``."""
     if not mols:
         raise ValueError("evaluate: empty subset")
     preds = []
-    for lo in range(0, len(mols), batch_size):
-        preds.append(model.predict(mols[lo:lo + batch_size]))
+    for lo in range(0, len(mols), EVAL_BATCH):
+        preds.append(model.predict(mols[lo:lo + EVAL_BATCH]))
     preds = np.concatenate(preds)
     labels = np.asarray([m.label for m in mols])
     if task.kind == "regression":

@@ -5,7 +5,7 @@ import pytest
 
 from molfuse.autodiff import Tape, constant
 from molfuse.data import DataRecord
-from molfuse.smiles import ParsedMolecule, parse
+from molfuse.smiles import parse
 
 # hand-enumerated: (smiles, atoms, bonds, tokens excluding CLS)
 CURATED_CORPUS = [
@@ -49,7 +49,7 @@ def rng():
 
 def loaded_record(smiles, label, row_index):
     """A DataRecord as ``load_csv`` keeps it: with its parse."""
-    return DataRecord(smiles, label, row_index, ParsedMolecule.of(parse(smiles)))
+    return DataRecord(smiles, label, row_index, parse(smiles))
 
 
 def triples(batch, anchors, positives):

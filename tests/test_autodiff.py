@@ -120,6 +120,17 @@ class TestErrors:
         msg = str(exc.value)
         assert "add" in msg and "(2,)" in msg and "(3,)" in msg
 
+    @pytest.mark.parametrize("kind", ["add", "subtract", "multiply"])
+    def test_zero_d_operand_needing_a_gradient_does_not_broadcast(self, kind):
+        # a 0-d constant broadcasts; a 0-d parameter against an array
+        # would need its gradient summed, which no op does
+        tape = Tape()
+        array = constant(np.ones((2, 3)))
+        for a, b in ((parameter(2.0), array), (array, parameter(2.0))):
+            with pytest.raises(ShapeError, match=f"^op '{kind}': "):
+                tape.apply(kind, a, b)
+        tape.apply(kind, constant(2.0), parameter(np.ones((2, 3))))
+
     def test_nan_rejected(self):
         tape = Tape(check=True)
         with pytest.raises(FloatingPointError):

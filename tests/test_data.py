@@ -18,7 +18,7 @@ from molfuse.data import (
 )
 from molfuse.gnn import GraphBatch
 from molfuse.synthdata import generate_rows, random_molecule, write_smiles
-from molfuse.smiles import Atom, Bond, ParsedMolecule, parse, tokenize_raw
+from molfuse.smiles import Atom, Bond, MolecularGraph, parse, tokenize_raw
 
 from tests.conftest import loaded_record
 
@@ -196,12 +196,13 @@ class TestLoadedRecord:
         assert len(records) > 1000
         for rec in records:
             kept, ref = rec.graph, parse(rec.smiles)
-            assert type(kept) is ParsedMolecule, rec.smiles
+            assert type(kept) is MolecularGraph, rec.smiles
             assert kept.num_atoms == ref.num_atoms, rec.smiles
             for attr in ("node_features", "edge_features", "bond_index"):
                 assert (array_key(getattr(kept, attr))
                         == array_key(getattr(ref, attr))), (rec.smiles, attr)
             assert kept.tokens == ref.tokens == tokenize_raw(rec.smiles)
+            assert kept.warnings == ref.warnings, rec.smiles
 
     @pytest.mark.parametrize("name", sorted(BUNDLED))
     def test_batches_equal_those_of_parsed_graphs(self, name):
@@ -238,11 +239,11 @@ class TestSynthData:
     def test_writer_round_trips_through_parser(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
-            graph = random_molecule(rng, int(rng.integers(3, 40)))
-            smiles = write_smiles(graph)
+            atoms, bonds = random_molecule(rng, int(rng.integers(3, 40)))
+            smiles = write_smiles(atoms, bonds)
             back = parse(smiles)
-            assert back.num_atoms == graph.num_atoms, smiles
-            assert back.num_bonds == graph.num_bonds, smiles
+            assert back.num_atoms == len(atoms), smiles
+            assert back.num_bonds == len(bonds), smiles
 
     def test_generated_rows_parse_and_have_labels(self):
         rows = generate_rows(30, seed=11, size_mean=13.3, size_std=4.5,

@@ -19,16 +19,11 @@ def batch_of(smiles_list):
 
 
 def permuted_copy(smiles, perm):
-    """Parsed graph with atoms relabeled by perm (features and bonds moved)."""
+    """Parsed graph with atoms relabeled by perm (node rows and bond ends
+    moved; bonds keep their order and edge rows)."""
     g = parse(smiles)
     inv = np.argsort(perm)
     out = parse(smiles)
-    out.atoms = [g.atoms[i] for i in perm]
-    for b_new, b_old in zip(out.bonds, g.bonds):
-        b_new.u, b_new.v = int(inv[b_old.u]), int(inv[b_old.v])
-        b_new.order, b_new.conjugated, b_new.in_ring = (
-            b_old.order, b_old.conjugated, b_old.in_ring,
-        )
     out.node_features = g.node_features[perm]
     out.bond_index = inv[g.bond_index]
     return out
@@ -80,9 +75,9 @@ def per_bond_batch(graphs):
     src, dst, efeats, offsets = [], [], [], [0]
     for g in graphs:
         base = offsets[-1]
-        for j, b in enumerate(g.bonds):
-            src.extend((base + b.u, base + b.v))
-            dst.extend((base + b.v, base + b.u))
+        for j, (u, v) in enumerate(g.bond_index.tolist()):
+            src.extend((base + u, base + v))
+            dst.extend((base + v, base + u))
             efeats.extend((g.edge_features[j], g.edge_features[j]))
         offsets.append(base + g.num_atoms)
     return src, dst, np.array(efeats).reshape(len(src), EDGE_FEATURE_DIM), offsets
@@ -437,8 +432,7 @@ class TestInvariances:
         g = parse("N#Cc1ccccc1")
         b1 = GraphBatch.from_graphs([g])
         g2 = parse("N#Cc1ccccc1")
-        order = list(range(len(g2.bonds)))[::-1]
-        g2.bonds = [g2.bonds[i] for i in order]
+        order = list(range(g2.num_bonds))[::-1]
         g2.edge_features = g2.edge_features[order]
         g2.bond_index = g2.bond_index[order]
         b2 = GraphBatch.from_graphs([g2])

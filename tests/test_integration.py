@@ -555,12 +555,6 @@ class TestLm2Mpnn:
         loss, preds, _ = model.forward_batch(Tape(), mols, batch_seed=0)
         assert preds.shape == (2, 1) and np.isfinite(loss.values)
 
-    def test_graphconv_variant_rejected(self):
-        with pytest.raises(ValueError, match="mpnn"):
-            IntegratedModel(
-                RunConfig(strategy="lm2mpnn", gnn_variant="graphconv"), len(VOCAB)
-            )
-
 
 class TestAllStrategiesOnCorpus:
     @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from molfuse.autodiff import parameter
-from molfuse.optim import AdamState, adam_step
+from molfuse.optim import BETA1, BETA2, EPS, AdamState, adam_step
 
 
 def test_first_step_closed_form():
@@ -102,7 +102,7 @@ def test_bitwise_equal_to_textbook_update(rng):
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
     state = AdamState(params, lr=0.003)
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = BETA1, BETA2, EPS
     for t in range(1, 6):
         grads = [rng.normal(size=s) for s in shapes]
         adam_step(state, {p.node_id: g for p, g in zip(params, grads)})

@@ -15,6 +15,10 @@ from molfuse.smiles import (
 from molfuse.synthdata import write_dataset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# feature columns: node rows [atomic number / 100, degree, charge, H count,
+# aromatic, in-ring, ...], edge rows [order, conjugated, in-ring, aromatic]
+NUMBER, CHARGE, AROMATIC, ATOM_IN_RING = 0, 2, 4, 5
+ORDER, CONJUGATED, BOND_IN_RING = 0, 1, 2
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +84,9 @@ class TestParse:
 
     def test_phenol_structure(self):
         g = parse("C1=CC=C(C=C1)O")
-        assert sum(a.in_ring for a in g.atoms) == 6
-        assert sum(b.in_ring for b in g.bonds) == 6
-        orders = sorted(b.order for b in g.bonds)
+        assert g.node_features[:, ATOM_IN_RING].sum() == 6
+        assert g.edge_features[:, BOND_IN_RING].sum() == 6
+        orders = sorted(g.edge_features[:, ORDER])
         assert orders == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
     def test_single_atom(self):
@@ -91,20 +95,21 @@ class TestParse:
 
     def test_cyclopropane_all_in_ring(self):
         g = parse("C1CC1")
-        assert all(a.in_ring for a in g.atoms)
-        assert all(b.in_ring for b in g.bonds)
+        assert (g.node_features[:, ATOM_IN_RING] == 1.0).all()
+        assert (g.edge_features[:, BOND_IN_RING] == 1.0).all()
 
     def test_aromatic_defaults(self):
         g = parse("c1ccccc1")
-        assert all(b.order == 1.5 for b in g.bonds)
-        assert all(b.conjugated for b in g.bonds)
-        assert all(a.aromatic for a in g.atoms)
+        assert (g.edge_features[:, ORDER] == 1.5).all()
+        assert (g.edge_features[:, CONJUGATED] == 1.0).all()
+        assert (g.node_features[:, AROMATIC] == 1.0).all()
 
     def test_atom_emission_order(self):
         g = parse("[NH3+]CC([O-])=O")
-        assert [a.symbol for a in g.atoms] == ["N", "C", "C", "O", "O"]
-        assert g.atoms[0].formal_charge == 1
-        assert g.atoms[3].formal_charge == -1
+        numbers = np.rint(g.node_features[:, NUMBER] * 100).tolist()
+        assert numbers == [7, 6, 6, 8, 8]  # N C C O O
+        assert g.node_features[0, CHARGE] == 1
+        assert g.node_features[3, CHARGE] == -1
 
     def test_unclosed_ring_names_digit(self):
         with pytest.raises(SmilesError, match="unclosed ring 1"):
@@ -132,12 +137,12 @@ class TestParse:
 
 def connected_without(graph, removed):
     """Whether the ends of bond ``removed`` stay connected once it is gone."""
-    adj = [[] for _ in graph.atoms]
-    for i, b in enumerate(graph.bonds):
+    adj = [[] for _ in range(graph.num_atoms)]
+    for i, (u, v) in enumerate(graph.bond_index.tolist()):
         if i != removed:
-            adj[b.u].append(b.v)
-            adj[b.v].append(b.u)
-    start, goal = graph.bonds[removed].u, graph.bonds[removed].v
+            adj[u].append(v)
+            adj[v].append(u)
+    start, goal = graph.bond_index[removed].tolist()
     seen = {start}
     stack = [start]
     while stack:
@@ -150,15 +155,24 @@ def connected_without(graph, removed):
     return False
 
 
+def bond_flags(graph):
+    return [flag == 1.0 for flag in graph.edge_features[:, BOND_IN_RING]]
+
+
+def atom_flags(graph):
+    return [flag == 1.0 for flag in graph.node_features[:, ATOM_IN_RING]]
+
+
 def assert_ring_flags_match_oracle(graph, smiles):
     """A bond is in a ring exactly when its ends stay connected without it;
     an atom is exactly when it ends a ring bond."""
     expected_bonds = [connected_without(graph, i)
                       for i in range(graph.num_bonds)]
-    assert [b.in_ring for b in graph.bonds] == expected_bonds, smiles
-    ring_atoms = {end for b, ring in zip(graph.bonds, expected_bonds) if ring
-                  for end in (b.u, b.v)}
-    assert [a.in_ring for a in graph.atoms] == [
+    assert bond_flags(graph) == expected_bonds, smiles
+    ring_atoms = {end for ends, ring in zip(graph.bond_index.tolist(),
+                                            expected_bonds) if ring
+                  for end in ends}
+    assert atom_flags(graph) == [
         i in ring_atoms for i in range(graph.num_atoms)], smiles
 
 
@@ -212,8 +226,8 @@ class TestRingFlagsOracle:
                              RING_CASES, ids=[case[0] for case in RING_CASES])
     def test_named_cases(self, smiles, bonds_in_ring, atoms_in_ring):
         graph = parse(smiles)
-        assert [int(b.in_ring) for b in graph.bonds] == bonds_in_ring
-        assert [int(a.in_ring) for a in graph.atoms] == atoms_in_ring
+        assert list(map(int, bond_flags(graph))) == bonds_in_ring
+        assert list(map(int, atom_flags(graph))) == atoms_in_ring
         assert_ring_flags_match_oracle(graph, smiles)
 
 

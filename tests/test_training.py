@@ -19,7 +19,6 @@ from molfuse.checkpoint import load_checkpoint, save_checkpoint
 from molfuse.data import CLASSIFICATION, REGRESSION
 from molfuse.integration import IntegratedModel
 from molfuse.optim import AdamState, adam_step
-from molfuse.smiles import Vocabulary
 from molfuse.synthdata import write_dataset
 from molfuse.training import (
     FLOORS,
@@ -115,7 +114,9 @@ class TestEvaluate:
 
 class TestPrepareMolecules:
     def test_set_up_parses_each_smiles_once(self, tiny_csv, monkeypatch):
-        from molfuse import data, smiles, training
+        # load_csv parses through data.parse, and prepare_splits takes each
+        # molecule's graph from its record
+        from molfuse import data, smiles
         from molfuse.data import load_csv
 
         calls = []
@@ -125,14 +126,14 @@ class TestPrepareMolecules:
             return smiles.parse(text)
 
         monkeypatch.setattr(data, "parse", counted)
-        monkeypatch.setattr(training, "parse", counted)
         loaded = load_csv(tiny_csv, "smiles", "log_solubility", REGRESSION)
-        parsed_by_load = len(calls)
-        vocab = Vocabulary.build(r.smiles for r in loaded.records)
-        mols, dropped, _ = training.prepare_molecules(loaded.records, vocab, 512)
-        assert dropped == 0 and len(mols) == len(loaded.records)
-        assert len(calls) == parsed_by_load
-        assert all(m.graph is r.graph for m, r in zip(mols, loaded.records))
+        assert not loaded.quarantined
+        splits, _, prepared = training.prepare_splits(
+            tiny_config(tiny_csv), loaded.records, 0)
+        assert sorted(calls) == sorted(r.smiles for r in loaded.records)
+        for recs, (mols, dropped, _) in zip(splits, prepared):
+            assert dropped == 0 and len(mols) == len(recs)
+            assert all(m.graph is r.graph for m, r in zip(mols, recs))
 
     def test_set_up_tokenizes_each_smiles_once(self, tiny_csv, monkeypatch):
         # parse's token list feeds the vocabulary and prepare_molecules
@@ -630,6 +631,7 @@ class TestRunConfig:
         ({"seeds": (0, -1)}, "seeds"),
         ({"ratios": (1.0, 0.0, 0.0)}, "ratios"),
         ({"ratios": (0.5, 0.2, 0.2)}, "ratios"),
+        ({"strategy": "lm2mpnn", "gnn_variant": "graphconv"}, "gnn_variant"),
     ])
     def test_out_of_range_names_its_field(self, overrides, key):
         with pytest.raises(ValueError, match=f"^{key} = "):

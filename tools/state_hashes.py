@@ -4,26 +4,29 @@ workload strategy's trained weights and test-split predictions.
 
     python3 tools/state_hashes.py [--root CHECKOUT]
 
-For each workload in ``perfbench/workloads.py`` this writes the workload's
-CSV for seed 3 and prints one line, ``<workload> parsed-dataset <sha>``:
-the SHA-256 of what ``data.load_csv`` read from it, that is every
-record's ``node_features``, ``edge_features`` and ``bond_index`` (dtype,
-shape and bytes) and its ``tokenize_raw`` list, and every quarantined
-row's reason, so a parser change shows on its own line. It then takes
-each strategy's ``RunConfig`` from ``perfbench/worker.run_configs`` with
-``max_epochs`` and ``patience`` set to 2, trains one seed with
-``training.train_one`` on the ``training.load_dataset`` result and
-prints one line per strategy: the workload, the strategy, the test
-metric, the SHA-256 of the trained ``state_dict`` (parameter names and
-float64 bytes, in name order) and the SHA-256 of the trained model's
-predictions on the test split (float64 bytes, predicted in batches of 64 as
-``training.evaluate`` does), so a change to the prediction path shows
-even where the test metric hides it. The configurations in ``EXTRA``,
-which no workload trains, run on the inputs and the first config of the
-workload they are listed under, with their field overrides, so all seven
-wirings are covered, as are the frozen message passer, a message passer
-with no message step, the two-layer GraphConv variant and the gate and
-max fusion ops. A line with overrides names them after the strategy, as
+For each workload in ``perfbench/workloads.py`` this writes the
+workload's CSV for seed 3 and prints one line, ``<workload>
+parsed-dataset <sha>``: the SHA-256 of what ``data.load_csv`` read from
+it, that is every record's SMILES, label and parse warning count (from
+``smiles.parse`` of its SMILES, which every checkout has), its
+``node_features``, ``edge_features`` and ``bond_index`` (dtype, shape
+and bytes) and its ``tokenize_raw`` list, and every quarantined row's
+reason, so a generator or parser change shows on its own line. It then
+takes each strategy's ``RunConfig`` from
+``perfbench/worker.run_configs`` with ``max_epochs`` and ``patience``
+set to 2, trains one seed with ``training.train_one`` on the
+``training.load_dataset`` result and prints one line per strategy: the
+workload, the strategy, the test metric, the SHA-256 of the trained
+``state_dict`` (parameter names and float64 bytes, in name order) and
+the SHA-256 of the trained model's predictions on the test split
+(float64 bytes, predicted in batches of 64 as ``training.evaluate``
+does), so a change to the prediction path shows even where the test
+metric hides it. The configurations in ``EXTRA``, which no workload
+trains, run on the inputs and the first config of the workload they are
+listed under, with their field overrides, so all seven wirings are
+covered, as are the frozen message passer, a message passer with no
+message step, the two-layer GraphConv variant and the gate and max
+fusion ops. A line with overrides names them after the strategy, as
 ``strategy+field=value``. ``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
 script), so two checkouts compare with one ``diff`` of the outputs.
@@ -73,8 +76,12 @@ def state_hash(state):
 
 def dataset_hash(data):
     """SHA-256 of a ``load_csv`` result's parsed records and quarantine."""
+    from molfuse.smiles import parse
+
     digest = hashlib.sha256()
     for rec in data.records:
+        warnings = len(parse(rec.smiles).warnings)
+        digest.update(repr((rec.smiles, rec.label, warnings)).encode())
         graph = rec.graph
         for array in (graph.node_features, graph.edge_features,
                       graph.bond_index):
