@@ -109,6 +109,8 @@ class Tape:
         op = _OPS.get(kind)
         if op is None:
             raise KeyError(f"unknown op kind '{kind}'")
+        if len(inputs) not in _ARITY[kind]:
+            raise ShapeError(kind, *[t.shape for t in inputs])
         if self.check:
             for t in inputs:
                 if np.isnan(t.values).any():
@@ -205,19 +207,37 @@ def backward(loss, tape):
 # ---------------------------------------------------------------------------
 
 _OPS = {}
+_ARITY = {}  # kind -> the input counts Tape.apply accepts
 
 
-def _register(kind):
+def _register(kind, *arity):
     def deco(fn):
         _OPS[kind] = fn
+        _ARITY[kind] = arity
         return fn
 
     return deco
 
 
-def _require_arity(kind, inputs, *counts):
-    if len(inputs) not in counts:
-        raise ShapeError(kind, *[t.shape for t in inputs])
+def _segments(kind, offsets, x):
+    """``offsets`` as int64, after one check that they cut the rows of the
+    2-D input ``x`` into consecutive non-empty segments."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if (x.values.ndim != 2 or offsets.ndim != 1 or len(offsets) < 2
+            or offsets[0] != 0 or offsets[-1] != x.shape[0]):
+        raise ShapeError(kind, x.shape, offsets.shape)
+    if (np.diff(offsets) <= 0).any():
+        raise ValueError(f"{kind}: empty or non-increasing segment")
+    return offsets
+
+
+def _rows(kind, indices, num_rows):
+    """``indices`` as int64, after one check that each names one of
+    ``num_rows`` rows; an empty array is valid."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise IndexError(f"{kind}: index out of range for {num_rows} rows")
+    return idx
 
 
 def _grad_id(t):
@@ -237,9 +257,8 @@ def _elementwise_shapes(kind, a, b):
         raise ShapeError(kind, a.shape, b.shape)
 
 
-@_register("add")
+@_register("add", 2)
 def _op_add(inputs, kw):
-    _require_arity("add", inputs, 2)
     a, b = inputs
     _elementwise_shapes("add", a, b)
     ia, ib = _grad_id(a), _grad_id(b)
@@ -253,9 +272,8 @@ def _op_add(inputs, kw):
     return a.values + b.values, bwd
 
 
-@_register("subtract")
+@_register("subtract", 2)
 def _op_subtract(inputs, kw):
-    _require_arity("subtract", inputs, 2)
     a, b = inputs
     _elementwise_shapes("subtract", a, b)
     ia, ib = _grad_id(a), _grad_id(b)
@@ -269,9 +287,8 @@ def _op_subtract(inputs, kw):
     return a.values - b.values, bwd
 
 
-@_register("multiply")
+@_register("multiply", 2)
 def _op_multiply(inputs, kw):
-    _require_arity("multiply", inputs, 2)
     a, b = inputs
     _elementwise_shapes("multiply", a, b)
     ia, ib = _grad_id(a), _grad_id(b)
@@ -286,11 +303,10 @@ def _op_multiply(inputs, kw):
     return a.values * b.values, bwd
 
 
-@_register("matmul")
+@_register("matmul", 2, 3)
 def _op_matmul(inputs, kw):
     """a @ b, plus ``bias`` broadcast over the rows when a third input is
     given (the bias is added in place to the product)."""
-    _require_arity("matmul", inputs, 2, 3)
     a, b = inputs[:2]
     bias = inputs[2] if len(inputs) == 3 else None
     if (
@@ -317,9 +333,8 @@ def _op_matmul(inputs, kw):
     return out, bwd
 
 
-@_register("concat-last-axis")
+@_register("concat-last-axis", 2)
 def _op_concat_last(inputs, kw):
-    _require_arity("concat-last-axis", inputs, 2)
     a, b = inputs
     if a.values.ndim != b.values.ndim or a.shape[:-1] != b.shape[:-1]:
         raise ShapeError("concat-last-axis", a.shape, b.shape)
@@ -335,9 +350,8 @@ def _op_concat_last(inputs, kw):
     return np.concatenate([a.values, b.values], axis=-1), bwd
 
 
-@_register("elementwise-max")
+@_register("elementwise-max", 2)
 def _op_max(inputs, kw):
-    _require_arity("elementwise-max", inputs, 2)
     a, b = inputs
     if a.shape != b.shape:
         raise ShapeError("elementwise-max", a.shape, b.shape)
@@ -353,9 +367,8 @@ def _op_max(inputs, kw):
     return np.maximum(a.values, b.values), bwd
 
 
-@_register("relu")
+@_register("relu", 1)
 def _op_relu(inputs, kw):
-    _require_arity("relu", inputs, 1)
     x = inputs[0]
     ix = x.node_id
     out = np.maximum(x.values, 0.0)
@@ -367,9 +380,8 @@ def _op_relu(inputs, kw):
     return out, bwd
 
 
-@_register("sigmoid")
+@_register("sigmoid", 1)
 def _op_sigmoid(inputs, kw):
-    _require_arity("sigmoid", inputs, 1)
     x = inputs[0]
     ix = x.node_id
     v = x.values
@@ -386,9 +398,8 @@ def _op_sigmoid(inputs, kw):
     return out, bwd
 
 
-@_register("tanh")
+@_register("tanh", 1)
 def _op_tanh(inputs, kw):
-    _require_arity("tanh", inputs, 1)
     x = inputs[0]
     ix = x.node_id
     out = np.tanh(x.values)
@@ -399,7 +410,7 @@ def _op_tanh(inputs, kw):
     return out, bwd
 
 
-@_register("packed-attention")
+@_register("packed-attention", 1)
 def _op_packed_attention(inputs, kw):
     """Scaled dot-product self-attention over a packed batch, heads fused.
 
@@ -409,25 +420,13 @@ def _op_packed_attention(inputs, kw):
     those rows, so no padding and no mask is involved; the output is the
     (rows x d) head-concatenated context.
     """
-    _require_arity("packed-attention", inputs, 1)
     qkv = inputs[0]
+    offsets = _segments("packed-attention", kw["offsets"], qkv)
     heads = int(kw["num_heads"])
-    offsets = np.asarray(kw["offsets"], dtype=np.int64)
-    rows = qkv.shape[0] if qkv.values.ndim == 2 else -1
-    if (
-        qkv.values.ndim != 2
-        or heads < 1
-        or qkv.shape[1] % (3 * heads)
-        or offsets.ndim != 1
-        or len(offsets) < 2
-        or offsets[0] != 0
-        or offsets[-1] != rows
-    ):
+    if heads < 1 or qkv.shape[1] % (3 * heads):
         raise ShapeError("packed-attention", qkv.shape, offsets.shape)
-    if (np.diff(offsets) <= 0).any():
-        raise ValueError("packed-attention: empty or non-increasing segment")
     iqkv = qkv.node_id
-    d = qkv.shape[1] // 3
+    rows, d = qkv.shape[0], qkv.shape[1] // 3
     dk = d // heads
     scale = 1.0 / np.sqrt(dk)
     out = np.empty((rows, d), dtype=np.float64)
@@ -468,11 +467,10 @@ def _op_packed_attention(inputs, kw):
     return out, bwd
 
 
-@_register("layer-normalize")
+@_register("layer-normalize", 3, 4)
 def _op_layer_norm(inputs, kw):
     """Layer norm over the last axis of x, or of x + residual when a
     fourth input is given (a post-LN block's skip connection)."""
-    _require_arity("layer-normalize", inputs, 3, 4)
     x, gain, bias = inputs[:3]
     residual = inputs[3] if len(inputs) == 4 else None
     d = x.shape[-1]
@@ -526,9 +524,8 @@ def _op_layer_norm(inputs, kw):
     return out, bwd
 
 
-@_register("sum-over-rows")
+@_register("sum-over-rows", 1)
 def _op_sum_rows(inputs, kw):
-    _require_arity("sum-over-rows", inputs, 1)
     x = inputs[0]
     if x.values.ndim not in (1, 2):
         raise ShapeError("sum-over-rows", x.shape)
@@ -540,18 +537,13 @@ def _op_sum_rows(inputs, kw):
     return x.values.sum(axis=0), bwd
 
 
-@_register("gather-rows")
+@_register("gather-rows", 1)
 def _op_gather_rows(inputs, kw):
-    _require_arity("gather-rows", inputs, 1)
     x = inputs[0]
-    idx = np.asarray(kw["indices"], dtype=np.int64)
     if x.values.ndim != 2:
         raise ShapeError("gather-rows", x.shape)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(
-            f"gather-rows: index out of range for {x.shape[0]} rows"
-        )
     ix, num_rows = x.node_id, x.shape[0]
+    idx = _rows("gather-rows", kw["indices"], num_rows)
 
     def bwd(g, acc):
         acc(ix, kernels.scatter_add_rows(np.ascontiguousarray(g), idx, num_rows))
@@ -559,16 +551,13 @@ def _op_gather_rows(inputs, kw):
     return x.values[idx], bwd
 
 
-@_register("scatter-add-rows")
+@_register("scatter-add-rows", 1)
 def _op_scatter_rows(inputs, kw):
-    _require_arity("scatter-add-rows", inputs, 1)
     x = inputs[0]
-    idx = np.asarray(kw["indices"], dtype=np.int64)
     num_rows = int(kw["num_rows"])
+    idx = _rows("scatter-add-rows", kw["indices"], num_rows)
     if x.values.ndim != 2 or idx.shape != (x.shape[0],):
         raise ShapeError("scatter-add-rows", x.shape, idx.shape)
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise IndexError(f"scatter-add-rows: index out of range for {num_rows} rows")
     ix = x.node_id
 
     def bwd(g, acc):
@@ -577,15 +566,10 @@ def _op_scatter_rows(inputs, kw):
     return kernels.scatter_add_rows(np.ascontiguousarray(x.values), idx, num_rows), bwd
 
 
-@_register("segment-mean")
+@_register("segment-mean", 1)
 def _op_segment_mean(inputs, kw):
-    _require_arity("segment-mean", inputs, 1)
     x = inputs[0]
-    offsets = np.asarray(kw["offsets"], dtype=np.int64)
-    if x.values.ndim != 2 or offsets[0] != 0 or offsets[-1] != x.shape[0]:
-        raise ShapeError("segment-mean", x.shape, offsets.shape)
-    if (np.diff(offsets) <= 0).any():
-        raise ValueError("segment-mean: empty or non-increasing segment")
+    offsets = _segments("segment-mean", kw["offsets"], x)
     ix = x.node_id
 
     def bwd(g, acc):
@@ -594,7 +578,7 @@ def _op_segment_mean(inputs, kw):
     return kernels.segment_mean(np.ascontiguousarray(x.values), offsets), bwd
 
 
-@_register("typed-edge-message")
+@_register("typed-edge-message", 2)
 def _op_typed_edge_message(inputs, kw):
     """Edge-conditioned messages m[dst[e]] += A_type(e) @ h[src[e]].
 
@@ -605,26 +589,19 @@ def _op_typed_edge_message(inputs, kw):
     the buffer into the destinations, in edge order. The backward pass
     mirrors it with one scatter-add into the sources.
     """
-    _require_arity("typed-edge-message", inputs, 2)
     a_types, h = inputs
-    src = np.asarray(kw["src"], dtype=np.int64)
-    dst = np.asarray(kw["dst"], dtype=np.int64)
     bounds = np.asarray(kw["bounds"], dtype=np.int64)
-    w = h.shape[1] if h.values.ndim == 2 else 0
     num_types = len(bounds) - 1
     if (
         h.values.ndim != 2
-        or a_types.values.ndim != 2
-        or a_types.shape != (num_types, w * w)
-        or len(src) != len(dst)
-        or bounds[-1] != len(src)
+        or a_types.shape != (num_types, h.shape[1] ** 2)
+        or len(kw["src"]) != len(kw["dst"])
+        or bounds[-1] != len(kw["src"])
     ):
         raise ShapeError("typed-edge-message", a_types.shape, h.shape)
-    n = h.shape[0]
-    if src.size and (
-        src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n
-    ):
-        raise IndexError("typed-edge-message: dangling edge index")
+    n, w = h.shape
+    src = _rows("typed-edge-message", kw["src"], n)
+    dst = _rows("typed-edge-message", kw["dst"], n)
     ia, ih = _grad_id(a_types), _grad_id(h)
     # the type matrices' gradient reads h, the states' gradient reads them
     ka, kh = _kept(a_types, ih), _kept(h, ia)
@@ -658,9 +635,8 @@ def _op_typed_edge_message(inputs, kw):
     return out, bwd
 
 
-@_register("p-norm-of-difference")
+@_register("p-norm-of-difference", 2)
 def _op_pnorm_diff(inputs, kw):
-    _require_arity("p-norm-of-difference", inputs, 2)
     a, b = inputs
     if a.shape != b.shape or a.values.ndim not in (1, 2):
         raise ShapeError("p-norm-of-difference", a.shape, b.shape)
@@ -681,9 +657,8 @@ def _op_pnorm_diff(inputs, kw):
     return norm, bwd
 
 
-@_register("squared-error")
+@_register("squared-error", 2)
 def _op_squared_error(inputs, kw):
-    _require_arity("squared-error", inputs, 2)
     pred, target = inputs
     if pred.shape != target.shape:
         raise ShapeError("squared-error", pred.shape, target.shape)
@@ -699,9 +674,8 @@ def _op_squared_error(inputs, kw):
     return np.asarray((diff * diff).sum()), bwd
 
 
-@_register("binary-cross-entropy-with-logit")
+@_register("binary-cross-entropy-with-logit", 2)
 def _op_bce_logit(inputs, kw):
-    _require_arity("binary-cross-entropy-with-logit", inputs, 2)
     logit, target = inputs
     if logit.shape != target.shape:
         raise ShapeError("binary-cross-entropy-with-logit", logit.shape, target.shape)
@@ -721,9 +695,8 @@ def _op_bce_logit(inputs, kw):
     return np.asarray(loss.sum()), bwd
 
 
-@_register("cross-entropy-with-logits")
+@_register("cross-entropy-with-logits", 1)
 def _op_ce_logits(inputs, kw):
-    _require_arity("cross-entropy-with-logits", inputs, 1)
     logits = inputs[0]
     ids = np.asarray(kw["target_ids"], dtype=np.int64)
     if logits.values.ndim != 2 or ids.shape != (logits.shape[0],):
@@ -927,6 +900,8 @@ def check_gradients(kinds=OP_KINDS, trials=10, tolerance=1e-4, seed=1234):
     (rows, cols) shapes per kind; failures land in the report."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tolerance=tolerance)
     for kind in kinds:

@@ -95,6 +95,8 @@ def parse_ratio_string(text):
     if len(parts) != 3:
         raise ValueError(f"ratio '{text}' must have three fields")
     total = sum(parts)
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"ratio '{text}' must have a finite, positive sum")
     if abs(total - 1.0) <= RATIO_TOLERANCE:
         return parts
     return tuple(p / total for p in parts)

@@ -66,12 +66,14 @@ def edge_types(rows):
     lists the edge ids by type, ascending within a type, and each sorted
     row that differs from its predecessor starts a type; ``bounds``
     delimits the types in ``order``. The unique rows come out in
-    ``np.unique(rows, axis=0)`` order. ``rows`` must have at least one row.
+    ``np.unique(rows, axis=0)`` order. Zero rows (a batch without bonds)
+    give zero types, with ``bounds == [0]``.
     """
     order = np.lexsort(rows.T[::-1])
     sorted_rows = rows[order]
-    starts = np.flatnonzero((sorted_rows[1:] != sorted_rows[:-1]).any(axis=1))
-    bounds = np.concatenate([[0], starts + 1, [len(rows)]]).astype(np.int64)
+    first_of_type = np.ones(len(rows), dtype=bool)
+    first_of_type[1:] = (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
+    bounds = np.append(np.flatnonzero(first_of_type), len(rows))
     return sorted_rows[bounds[:-1]], order, bounds
 
 
@@ -165,17 +167,11 @@ class Mpnn:
         """T message-passing steps; fuse_fn (if given) injects aligned
         cross-model rows into h before both aggregation and update."""
         h = self.initial_states(tape, batch)
-        message_fn = (
-            self._message_operator(tape, batch)
-            if self.config.message_steps and batch.edge_src.size else None
-        )
-        for _ in range(self.config.message_steps):
+        steps = self.config.message_steps
+        message_fn = self._message_operator(tape, batch) if steps else None
+        for _ in range(steps):
             fused = fuse_fn(tape, h) if fuse_fn is not None else h
-            if message_fn is not None:
-                m = message_fn(tape, fused)
-            else:
-                m = constant(np.zeros((batch.num_nodes, self.cell_width)))
-            h = self._project(tape, self.update(tape, fused, m))
+            h = self._project(tape, self.update(tape, fused, message_fn(tape, fused)))
         return h
 
     def readout(self, tape, states, batch):
@@ -204,13 +200,12 @@ class GraphConv:
 
     def layer_forward(self, tape, states, batch, layer):
         own = tape.apply("matmul", states, layer["w_self"], layer["b"])
-        if batch.edge_src.size:
-            pulled = tape.apply("gather-rows", states, indices=batch.edge_src)
-            summed = tape.apply(
-                "scatter-add-rows", pulled,
-                indices=batch.edge_dst, num_rows=batch.num_nodes,
-            )
-            own = tape.apply("add", own, tape.apply("matmul", summed, layer["w_nbr"]))
+        pulled = tape.apply("gather-rows", states, indices=batch.edge_src)
+        summed = tape.apply(
+            "scatter-add-rows", pulled,
+            indices=batch.edge_dst, num_rows=batch.num_nodes,
+        )
+        own = tape.apply("add", own, tape.apply("matmul", summed, layer["w_nbr"]))
         return tape.apply("relu", own)
 
     def run(self, tape, batch):

@@ -465,6 +465,7 @@ def _train_seed_entry(config_dict, seed, out_dir, load_result):
 def _run_parallel(config, data, out_dir):
     """Seeds on spawned worker processes, each given an equal share of the
     usable cores as its BLAS thread budget (so workers x threads <= cores).
+    There are no more workers than seeds or usable cores.
 
     The budget goes into the environment the workers start with, before
     they load numpy; the parent's environment is restored afterwards.
@@ -472,8 +473,9 @@ def _run_parallel(config, data, out_dir):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(config.workers, len(config.seeds))
-    threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
+    cores = len(os.sched_getaffinity(0))
+    workers = min(config.workers, len(config.seeds), cores)
+    threads = str(cores // workers)
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
     try:
@@ -529,6 +531,10 @@ def profile_strategies(config, strategies, measured_epochs=5, warmup_epochs=1):
     """
     import gc
 
+    if measured_epochs < 1:
+        raise ValueError("measured_epochs must be at least 1")
+    if warmup_epochs < 0:
+        raise ValueError("warmup_epochs must not be negative")
     retain_heap()
     seed = config.seeds[0]
     data = load_dataset(config)
@@ -617,6 +623,10 @@ def attention_scaling(base_len=128, repeats=25):
     both score matrices inside the cache so the ratio reflects the
     quadratic flop count rather than a cache cliff.
     """
+    if base_len < 1:
+        raise ValueError("base_len must be at least 1")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     d, heads = RunConfig.hidden_dim, RunConfig.num_heads
     t1 = attention_core_seconds(base_len, d, heads, repeats)
     t2 = attention_core_seconds(2 * base_len, d, heads, repeats)

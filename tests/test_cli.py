@@ -194,6 +194,10 @@ class TestConfigFile:
         (["--patience", "0"], "patience"),
         (["--seeds", "-1"], "seeds"),
         (["--ratios", "1:0:0"], "ratios"),
+        (["--ratios", "0:0:0"], "ratios"),
+        (["--ratios", "1:-1:0"], "ratios"),
+        (["--ratios=-1:-1:-1"], "ratios"),
+        (["--ratios", "inf:1:1"], "ratios"),
     ])
     def test_out_of_range_flag_names_its_key(self, capsys, flags, key):
         assert main(["train", *flags]) == EXIT_USAGE
@@ -378,6 +382,22 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--ops-only", "--trials", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "matmul" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--trials", "0"], "trials must be at least 1"),
+    (["profile", "--epochs", "0"], "measured_epochs must be at least 1"),
+    (["profile", "--warmup", "-1"], "warmup_epochs must not be negative"),
+    (["profile", "--synthetic-seq-scaling", "--repeats", "0"],
+     "repeats must be at least 1"),
+    (["profile", "--synthetic-seq-scaling", "--base-len", "0"],
+     "base_len must be at least 1"),
+])
+def test_zero_count_is_a_usage_error(capsys, argv, message):
+    # a zero count used to print nan medians, or no op line, and exit 0
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
 
 
 class TestProfileCommand:

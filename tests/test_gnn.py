@@ -198,7 +198,9 @@ class TestMessagePass:
         np.testing.assert_allclose(m[0], h[1] + h[2] + h[3], rtol=1e-15)
 
     def test_dangling_edge_rejected(self):
-        with pytest.raises(IndexError, match="dangling"):
+        with pytest.raises(
+                IndexError,
+                match="^typed-edge-message: index out of range for 2 rows$"):
             typed_messages(
                 np.ones((1, 4)), np.ones((2, 2)),
                 src=[0], dst=[5], bounds=[0, 1],

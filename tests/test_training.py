@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -271,6 +272,30 @@ class TestRunSeeds:
         assert [r.blas_threads for r in report.results] == [budget, budget]
         assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
         assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_workers_never_outnumber_the_cores(self, tiny_csv, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, os.environ["OPENBLAS_NUM_THREADS"]))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, config_dict, seed, out_dir, data):
+                done = concurrent.futures.Future()
+                done.set_result(seed)
+                return done
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config = tiny_config(tiny_csv, seeds=(0, 1, 2, 3), workers=4)
+        assert training._run_parallel(config, None, None) == [0, 1, 2, 3]
+        assert pools == [(2, "1")]
 
     def test_timing_records_peak_rss_and_threads(self, tiny_csv, monkeypatch):
         # the seed's minor faults are the counter's rise over train_one
