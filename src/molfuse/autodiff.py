@@ -39,12 +39,13 @@ _LN_EPS = 1e-5
 
 
 class ShapeError(ValueError):
-    """Raised when operand shapes are invalid for an op kind."""
+    """Raised when operand shapes or the input count are invalid for an op
+    kind; ``problem`` replaces the default text naming the shapes."""
 
-    def __init__(self, kind, *shapes):
-        super().__init__(
-            f"op '{kind}': incompatible shapes {' and '.join(str(s) for s in shapes)}"
-        )
+    def __init__(self, kind, *shapes, problem=None):
+        if problem is None:
+            problem = f"incompatible shapes {' and '.join(str(s) for s in shapes)}"
+        super().__init__(f"op '{kind}': {problem}")
 
 
 class Tensor:
@@ -109,8 +110,12 @@ class Tape:
         op = _OPS.get(kind)
         if op is None:
             raise KeyError(f"unknown op kind '{kind}'")
-        if len(inputs) not in _ARITY[kind]:
-            raise ShapeError(kind, *[t.shape for t in inputs])
+        arity = _ARITY[kind]
+        if len(inputs) not in arity:
+            raise ShapeError(kind, problem=(
+                f"takes {' or '.join(map(str, arity))} "
+                f"input{'s' if max(arity) > 1 else ''}, got {len(inputs)}"
+            ))
         if self.check:
             for t in inputs:
                 if np.isnan(t.values).any():

@@ -4,11 +4,15 @@ Seven wirings are selectable: the two single-model baselines, node- and
 graph-level contrastive supervision of the token encoder, late fusion of
 the two graph embeddings, and the two joint fusions (message-passer
 states injected into the encoder input, or encoder token outputs injected
-into every message-passing step). Both contrast levels draw negatives
-through :func:`build_triples` and weigh their triplet term by ``alpha``:
-node-level negatives come from seeded within-graph derangements, and
-graph-level negatives are one derangement of the batch, each graph
-counted as one node. ``IntegratedModel`` takes one
+into every message-passing step). The encoder computes only the rows a
+wiring reads: the CLS rows for ``lm-baseline``, graph-level contrast and
+late fusion, the atom rows for node-level contrast and ``lm2mpnn``, and
+every row for ``mpnn2lm``'s mean pool. Both contrast levels draw
+negatives through :func:`build_triples` and weigh their triplet term by
+``alpha``: node-level negatives come from seeded within-graph
+derangements, and graph-level negatives from one derangement of the
+batch, passed as one segment with each graph counted as one node.
+``IntegratedModel`` takes one
 :class:`molfuse.training.RunConfig` and hands it to both components, so
 they share one ``hidden_dim``; the strategy, fusion op, task, contrast
 weight and margin come from the same object.
@@ -71,14 +75,13 @@ def derangement(n, rng):
             return perm
 
 
-def build_triples(lm_nodes, mpnn_nodes, offsets, seed, cross_graph=False):
+def build_triples(lm_nodes, mpnn_nodes, offsets, seed):
     """Per-node triples: anchors from the encoder, positives from the
     message passer, negatives from a seeded derangement.
 
-    Within-graph mode deranges each graph's node indices; single-node
-    graphs borrow a uniform node from another graph (or are skipped and
-    counted when the batch offers none). Cross-graph mode deranges the
-    whole batch's node set at once.
+    Each graph's node indices are deranged; single-node graphs borrow a
+    uniform node from another graph (or are skipped and counted when the
+    batch offers none). Offsets ``[0, n]`` derange the whole batch at once.
     """
     rows_a = lm_nodes.shape[0] if hasattr(lm_nodes, "shape") else len(lm_nodes)
     rows_p = mpnn_nodes.shape[0] if hasattr(mpnn_nodes, "shape") else len(mpnn_nodes)
@@ -91,11 +94,6 @@ def build_triples(lm_nodes, mpnn_nodes, offsets, seed, cross_graph=False):
         raise ValueError("graph boundaries do not cover the node rows")
     rng = np.random.default_rng(seed)
     total = int(offsets[-1])
-    if cross_graph:
-        if total < 2:
-            return TripleBatch(np.empty(0, np.int64), np.empty(0, np.int64), 1)
-        perm = derangement(total, rng)
-        return TripleBatch(np.arange(total, dtype=np.int64), perm.astype(np.int64))
     anchor = []
     neg = []
     skipped = 0
@@ -227,17 +225,6 @@ class IntegratedModel:
             params.append(self.mpnn2lm_proj)
         return params
 
-    def _lm_outputs(self, tape, mols, want_nodes):
-        """One packed encoder pass; CLS rows and (if wanted) atom rows."""
-        packed = pack_batch([mol.tokens for mol in mols])
-        e_out = self.encoder.forward(tape, packed)
-        if want_nodes:
-            nodes, cls_rows = self.encoder.extract(
-                tape, e_out, packed.offsets, packed.atom_rows
-            )
-            return cls_rows, nodes
-        return tape.apply("gather-rows", e_out, indices=packed.offsets[:-1]), None
-
     def _mpnn_readout(self, tape, gb):
         return self.gnn.readout(tape, self.gnn.run(tape, gb), gb)
 
@@ -300,37 +287,36 @@ class IntegratedModel:
         elif strategy == "mpnn2lm":
             preds = self._forward_mpnn2lm(tape, mols, gb, self.gnn.run(tape, gb))
         else:
-            cls_rows, lm_nodes = self._lm_outputs(
-                tape, mols, want_nodes=strategy in ("contrast-node", "lm2mpnn")
-            )
+            packed = pack_batch([mol.tokens for mol in mols])
+            # node-level wirings read the atom rows, the others the CLS rows
+            rows = (packed.atom_rows if strategy in ("contrast-node", "lm2mpnn")
+                    else packed.offsets[:-1])
+            lm_rows = self.encoder.forward(tape, packed, rows)
             if strategy == "contrast-node":
-                per_graph = tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
+                per_graph = tape.apply("segment-mean", lm_rows, offsets=gb.offsets)
                 preds = self.head.forward(tape, per_graph)
             elif strategy == "late-fusion":
                 pooled = self._mpnn_readout(tape, gb)
-                fused = fuse(tape, cls_rows, pooled, config.fusion, self.gate_params)
+                fused = fuse(tape, lm_rows, pooled, config.fusion, self.gate_params)
                 preds = self.head.forward(tape, fused)
             elif strategy == "lm2mpnn":
-                preds = self._forward_lm2mpnn(tape, gb, lm_nodes)
+                preds = self._forward_lm2mpnn(tape, gb, lm_rows)
             else:  # lm-baseline, contrast-graph
-                preds = self.head.forward(tape, cls_rows)
+                preds = self.head.forward(tape, lm_rows)
         if predict_only:
             return None, preds, info
 
         loss = self._prediction_loss(tape, preds, labels)
         if strategy == "contrast-node":
-            anchors, positives = lm_nodes, self.gnn.run(tape, gb)
-            offsets, cross_graph = gb.offsets, False
+            positives, offsets = self.gnn.run(tape, gb), gb.offsets
         elif strategy == "contrast-graph":
-            anchors, positives = cls_rows, self._mpnn_readout(tape, gb)
-            offsets, cross_graph = np.arange(len(mols) + 1), True
+            # the whole batch is one segment, each graph one node
+            positives, offsets = self._mpnn_readout(tape, gb), [0, len(mols)]
         else:
             return loss, preds, info
-        triples = build_triples(
-            anchors, positives, offsets, batch_seed, cross_graph=cross_graph
-        )
+        triples = build_triples(lm_rows, positives, offsets, batch_seed)
         info["skipped_triples"] = triples.skipped
-        trip = triplet_loss(tape, anchors, positives, triples, config.margin)
+        trip = triplet_loss(tape, lm_rows, positives, triples, config.margin)
         scaled = tape.apply("multiply", constant(config.alpha), trip)
         return tape.apply("add", loss, scaled), preds, info
 

@@ -1,15 +1,17 @@
 """Transformer encoder over SMILES tokens with an optional MLM stage.
 
-Produces the three outputs the integration strategies consume: per-atom
-node embeddings (rows of the final hidden state at atom token positions),
-a sequence-level embedding (the CLS row), and a property prediction.
-Node-level contrast anchors on the atom rows, graph-level contrast on the
-CLS rows (its negatives are one batch derangement from
-:func:`molfuse.integration.build_triples`). ``SmilesEncoder.forward`` is
-the one entry point of all seven strategies and of the MLM stage.
+``SmilesEncoder.forward`` is the one entry point of all seven strategies
+and of the MLM stage. It returns the final hidden state of the rows its
+caller reads: the CLS rows (sequence-level embeddings) for the wirings
+that read one row per molecule, the atom rows (node embeddings) for
+node-level contrast and ``lm2mpnn``, the masked rows for the MLM stage,
+and every row for ``mpnn2lm``'s mean pool.
 Blocks are post-layer-norm: x = LN(x + attention(x)); x = LN(x + ffn(x)).
 A batch runs as one packed matrix of all its token rows; attention is
 computed per sequence, so no row sees another sequence and none is padded.
+Every row is a key and a value of the last block's attention, but only
+the rows read go through its row-wise half (output projection, both
+layer norms and the FFN).
 The encoder reads ``hidden_dim``, ``num_layers``, ``num_heads``,
 ``ffn_dim`` and ``max_len`` from a :class:`molfuse.training.RunConfig`;
 the vocabulary size comes from the training split.
@@ -90,18 +92,25 @@ class SmilesEncoder:
         pos = tape.apply("gather-rows", self.position_embedding, indices=positions)
         return tape.apply("add", tok, pos)
 
-    def encode(self, tape, x, offsets):
+    def encode(self, tape, x, offsets, rows=None):
         """Stack of self-attention + feed-forward blocks on packed rows.
 
         ``offsets`` delimit the sequences; attention stays within a
-        sequence, everything else is row-wise.
+        sequence, everything else is row-wise. With ``rows``, only those
+        rows' final state is computed and returned, in the order given:
+        the last block attends over every row, since every row is a key
+        and a value, and runs its row-wise half on ``rows`` alone.
         """
-        for layer in self.layers:
+        if rows is not None and not self.layers:
+            return self.extract(tape, x, rows)
+        for n, layer in enumerate(self.layers, 1):
             qkv = tape.apply("matmul", x, layer["wqkv"])
             ctx = tape.apply(
                 "packed-attention", qkv, offsets=offsets,
                 num_heads=self.config.num_heads,
             )
+            if rows is not None and n == len(self.layers):
+                ctx, x = self.extract(tape, ctx, rows), self.extract(tape, x, rows)
             attn = tape.apply("matmul", ctx, layer["wo"], layer["bo"])
             x = tape.apply(
                 "layer-normalize", attn, layer["ln1_g"], layer["ln1_b"], x
@@ -115,30 +124,21 @@ class SmilesEncoder:
             )
         return x
 
-    def forward(self, tape, packed, fuse_fn=None):
-        """Final hidden state of a :class:`~molfuse.smiles.PackedBatch`;
-        ``fuse_fn(tape, e_in)``, if given, maps the embedded rows to the
-        blocks' input (how another model's rows are injected)."""
+    def forward(self, tape, packed, rows=None, fuse_fn=None):
+        """Final hidden state of ``rows`` of a
+        :class:`~molfuse.smiles.PackedBatch`, in the order given, or of
+        every row when ``rows`` is None; ``fuse_fn(tape, e_in)``, if given,
+        maps the embedded rows to the blocks' input (how another model's
+        rows are injected)."""
         x = self.embed(tape, packed.token_ids, packed.positions)
         if fuse_fn is not None:
             x = fuse_fn(tape, x)
-        return self.encode(tape, x, packed.offsets)
+        return self.encode(tape, x, packed.offsets, rows)
 
-    def extract(self, tape, e_out, offsets, atom_rows):
-        """(node embeddings, CLS embeddings) from the final hidden state.
-
-        The CLS row of sequence i is row offsets[i]; ``atom_rows`` are the
-        packed rows of the atom tokens.
-        """
-        cls_rows = np.asarray(offsets, dtype=np.int64)[:-1]
-        atom_rows = np.asarray(atom_rows, dtype=np.int64)
-        if atom_rows.size == 0:
-            raise ValueError("extract: empty atom position list")
-        if np.isin(atom_rows, cls_rows).any():
-            raise ValueError("extract: a CLS token row is not an atom")
-        nodes = tape.apply("gather-rows", e_out, indices=atom_rows)
-        graph_emb = tape.apply("gather-rows", e_out, indices=cls_rows)
-        return nodes, graph_emb
+    def extract(self, tape, state, rows):
+        """``rows`` of a packed state, in the order given: the one gather
+        behind every read of a subset of the encoder's rows."""
+        return tape.apply("gather-rows", state, indices=rows)
 
 
 class PredictionHead:
@@ -207,8 +207,7 @@ def mlm_pretrain_step(encoder, head, state, batch, mask_rate, seed=0):
     packed.token_ids[rows] = Vocabulary.MASK
 
     def mlm_loss(tape):
-        e_out = encoder.forward(tape, packed)
-        picked = tape.apply("gather-rows", e_out, indices=rows)
+        picked = encoder.forward(tape, packed, rows)
         logits = tape.apply("matmul", picked, head.w, head.b)
         return tape.apply("cross-entropy-with-logits", logits, target_ids=targets)
 

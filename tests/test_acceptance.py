@@ -206,7 +206,8 @@ def test_c4_neutrality_identities():
     mols = mols_for(["CCO", "C1CC1"], [0.3, -0.8])
     total, _, _ = node_model.forward_batch(Tape(), mols, batch_seed=5)
     ref_tape = Tape()
-    _, lm_nodes = node_model._lm_outputs(ref_tape, mols, want_nodes=True)
+    packed = pack_batch([m.tokens for m in mols])
+    lm_nodes = node_model.encoder.forward(ref_tape, packed, packed.atom_rows)
     gb = GraphBatch.from_graphs([m.graph for m in mols])
     per_graph = ref_tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
     ref_loss = node_model._prediction_loss(

@@ -110,12 +110,16 @@ class TestBuildTriples:
         assert len(tb) == 0 and tb.skipped == 1
 
     def test_cross_graph_mode_is_whole_batch_derangement(self):
+        # graph-level contrast passes the batch as one segment: the
+        # negatives are one derangement of all its rows, drawn first from
+        # the seed's generator
         lm = np.zeros((6, 2))
         mp = np.zeros((6, 2))
-        tb = build_triples(lm, mp, [0, 3, 6], seed=3, cross_graph=True)
-        assert len(tb) == 6
-        assert (tb.neg_idx != tb.anchor_idx).all()
-        assert sorted(tb.neg_idx.tolist()) == list(range(6))
+        tb = build_triples(lm, mp, [0, 6], seed=3)
+        np.testing.assert_array_equal(tb.anchor_idx, np.arange(6))
+        want = derangement(6, np.random.default_rng(3))
+        np.testing.assert_array_equal(tb.neg_idx, want)
+        assert tb.neg_idx.dtype == np.int64 and tb.skipped == 0
 
     def test_derangement_uniform_support(self):
         rng = np.random.default_rng(0)
@@ -231,6 +235,13 @@ class TestFuse:
             fuse(Tape(), constant(np.ones((2, 3))), constant(np.ones((3, 2))), "sum")
 
 
+def encoder_rows(model, tape, mols, which):
+    """The encoder's final ``which`` rows ("atoms" or "cls") of ``mols``."""
+    packed = pack_batch([m.tokens for m in mols])
+    rows = packed.atom_rows if which == "atoms" else packed.offsets[:-1]
+    return model.encoder.forward(tape, packed, rows)
+
+
 def zero_mpnn_input(model):
     model.gnn.w_in.values[:] = 0.0
     model.gnn.b_in.values[:] = 0.0
@@ -245,7 +256,7 @@ class TestContrastStrategies:
 
         ref_tape = Tape()
         gb = GraphBatch.from_graphs([m.graph for m in mols])
-        _, lm_nodes = model._lm_outputs(ref_tape, mols, want_nodes=True)
+        lm_nodes = encoder_rows(model, ref_tape, mols, "atoms")
         per_graph = ref_tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
         ref_preds = model.head.forward(ref_tape, per_graph)
         ref_loss = model._prediction_loss(
@@ -271,7 +282,7 @@ class TestContrastStrategies:
         total, _, _ = model.forward_batch(tape, mols, batch_seed=17)
 
         ref_tape = Tape()
-        _, lm_nodes = model._lm_outputs(ref_tape, mols, want_nodes=True)
+        lm_nodes = encoder_rows(model, ref_tape, mols, "atoms")
         per_graph = ref_tape.apply("segment-mean", lm_nodes, offsets=gb.offsets)
         ref_preds = model.head.forward(ref_tape, per_graph)
         pred_loss = float(
@@ -293,7 +304,7 @@ class TestContrastStrategies:
         total, preds, info = model.forward_batch(tape, mols, batch_seed=2)
         gb = GraphBatch.from_graphs([m.graph for m in mols])
         ref_tape = Tape()
-        cls_rows, _ = model._lm_outputs(ref_tape, mols, want_nodes=False)
+        cls_rows = encoder_rows(model, ref_tape, mols, "cls")
         pooled = model._mpnn_readout(ref_tape, gb)
         pred_loss = float(
             model._prediction_loss(
@@ -393,7 +404,7 @@ class TestLateFusion:
         tape = Tape()
         _, preds, _ = model.forward_batch(tape, mols, batch_seed=0)
         ref_tape = Tape()
-        cls_rows, _ = model._lm_outputs(ref_tape, mols, want_nodes=False)
+        cls_rows = encoder_rows(model, ref_tape, mols, "cls")
         ref = model.head.forward(ref_tape, cls_rows)
         np.testing.assert_array_equal(preds.values, ref.values)
 

@@ -145,22 +145,118 @@ class TestExtract:
         tape = Tape(grad_enabled=False)
         packed = pack_batch([seq, seq])
         e_out = enc.forward(tape, packed)
-        nodes, graph_emb = enc.extract(tape, e_out, packed.offsets, packed.atom_rows)
+        nodes = enc.forward(tape, packed, packed.atom_rows)
+        graph_emb = enc.forward(tape, packed, packed.offsets[:-1])
         assert nodes.shape == (14, 16)
         np.testing.assert_array_equal(graph_emb.values[0], e_out.values[0])
         np.testing.assert_array_equal(graph_emb.values[1], e_out.values[15])
 
-    def test_empty_positions_error(self, encoder):
-        tape = Tape(grad_enabled=False)
-        e_out = encoder.forward(tape, pack_batch([token_sequence([0, 4, 5])]))
-        with pytest.raises(ValueError, match="empty"):
-            encoder.extract(tape, e_out, [0, 3], [])
 
-    def test_cls_position_rejected(self, encoder):
+ROW_SEQS = [
+    token_sequence([0, 4, 5, 6]),
+    token_sequence([0, 1]),
+    token_sequence([0, 7, 6, 5, 4, 3]),
+]
+
+
+def row_reads(packed):
+    """The row lists the callers read: CLS rows, atom rows and a
+    scattered list out of order."""
+    return {
+        "cls": packed.offsets[:-1],
+        "atoms": packed.atom_rows,
+        "scattered": np.array([9, 0, 5, 11, 2]),
+    }
+
+
+def projection(rng):
+    """A ``fuse_fn`` that maps the embedded rows through a fixed matrix."""
+    proj = constant(rng.normal(size=(16, 16)))
+    return lambda tape, e_in: tape.apply("matmul", e_in, proj)
+
+
+class TestRows:
+    @pytest.mark.parametrize("num_layers", [0, 1, 3])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_rows_equal_the_full_output_gathered_bitwise(self, num_layers, fused):
+        enc = SmilesEncoder(small_config(num_layers=num_layers), VOCAB_SIZE,
+                            np.random.default_rng(3))
+        fuse_fn = projection(np.random.default_rng(4)) if fused else None
+        packed = pack_batch(ROW_SEQS)
         tape = Tape(grad_enabled=False)
-        e_out = encoder.forward(tape, pack_batch([token_sequence([0, 4, 5])]))
-        with pytest.raises(ValueError, match="CLS"):
-            encoder.extract(tape, e_out, [0, 3], [0, 1])
+        full = enc.forward(tape, packed, fuse_fn=fuse_fn).values
+        for name, rows in row_reads(packed).items():
+            got = enc.forward(tape, packed, rows, fuse_fn=fuse_fn).values
+            assert np.array_equal(got, full[rows]), name
+
+    def test_last_block_row_wise_half_sees_only_the_rows(self, monkeypatch):
+        from molfuse import autodiff
+
+        seen = []
+        for kind in ("matmul", "layer-normalize"):
+            real = autodiff._OPS[kind]
+
+            def spy(inputs, kwargs, real=real):
+                # the second input is the weight or the norm's gain
+                seen.append((inputs[1].name, inputs[0].shape[0]))
+                return real(inputs, kwargs)
+
+            monkeypatch.setitem(autodiff._OPS, kind, spy)
+        enc = SmilesEncoder(small_config(num_layers=3), VOCAB_SIZE,
+                            np.random.default_rng(3))
+        packed = pack_batch(ROW_SEQS)
+        total = len(packed.token_ids)
+        rows = row_reads(packed)["scattered"]
+        enc.forward(Tape(), packed, rows)
+        want = []
+        for n in range(3):
+            last = n == 2
+            want.append((f"lm.{n}.wqkv", total))
+            want += [(f"lm.{n}.{w}", len(rows) if last else total)
+                     for w in ("wo", "ln1_g", "w1", "w2", "ln2_g")]
+        assert seen == want
+
+    def test_every_subset_read_goes_through_extract(self, monkeypatch):
+        calls = []
+        real = SmilesEncoder.extract
+
+        def spy(self, tape, state, rows):
+            calls.append(len(rows))
+            return real(self, tape, state, rows)
+
+        monkeypatch.setattr(SmilesEncoder, "extract", spy)
+        packed = pack_batch(ROW_SEQS)
+        for num_layers in (0, 2):
+            enc = SmilesEncoder(small_config(num_layers=num_layers), VOCAB_SIZE,
+                                np.random.default_rng(3))
+            enc.forward(Tape(), packed)
+            assert calls == []
+            enc.forward(Tape(), packed, packed.offsets[:-1])
+            # the last block gathers its context and its residual
+            assert calls == [3] * (2 if num_layers else 1)
+            calls.clear()
+
+    def test_gradients_match_the_full_output_gathered(self):
+        enc = SmilesEncoder(small_config(num_layers=2), VOCAB_SIZE,
+                            np.random.default_rng(5))
+        packed = pack_batch(ROW_SEQS)
+        rows = row_reads(packed)["atoms"]
+        weights = constant(np.random.default_rng(6).normal(size=(len(rows), 16)))
+
+        def grads(read):
+            tape = Tape()
+            out = read(tape)
+            loss = tape.apply("multiply", out, weights)
+            for _ in range(2):  # over rows, then over columns
+                loss = tape.apply("sum-over-rows", loss)
+            got = backward(loss, tape)
+            return [got[p.node_id] for p in enc.parameters()]
+
+        subset = grads(lambda tape: enc.forward(tape, packed, rows))
+        gathered = grads(lambda tape: tape.apply(
+            "gather-rows", enc.forward(tape, packed), indices=rows))
+        for a, b in zip(subset, gathered):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
 
 class TestPredictionHead:

@@ -30,11 +30,23 @@ class TestInputCounts:
 
     @pytest.mark.parametrize("kind", OP_KINDS)
     def test_wrong_count_names_the_kind(self, kind):
+        takes = " or ".join(str(n) for n in _ARITY[kind])
+        noun = "input" if _ARITY[kind] == (1,) else "inputs"
         wrong = [n for n in range(max(_ARITY[kind]) + 2) if n not in _ARITY[kind]]
         for count in wrong:
             inputs = [constant(np.ones((2, 2))) for _ in range(count)]
-            with pytest.raises(ShapeError, match=f"^op '{kind}': "):
+            with pytest.raises(ShapeError) as exc:
                 Tape().apply(kind, *inputs)
+            assert str(exc.value) == f"op '{kind}': takes {takes} {noun}, got {count}"
+
+    @pytest.mark.parametrize("kind, count, message", [
+        ("relu", 0, "op 'relu': takes 1 input, got 0"),
+        ("matmul", 1, "op 'matmul': takes 2 or 3 inputs, got 1"),
+        ("layer-normalize", 5, "op 'layer-normalize': takes 3 or 4 inputs, got 5"),
+    ])
+    def test_wrong_count_message(self, kind, count, message):
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            Tape().apply(kind, *[constant(np.ones((2, 2)))] * count)
 
     @pytest.mark.parametrize("kind", OP_KINDS)
     def test_trial_inputs_have_a_declared_count(self, kind):

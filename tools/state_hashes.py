@@ -21,13 +21,16 @@ workload, the strategy, the test metric, the SHA-256 of the trained
 the SHA-256 of the trained model's predictions on the test split
 (float64 bytes, predicted in batches of 64 as ``training.evaluate``
 does), so a change to the prediction path shows even where the test
-metric hides it. The configurations in ``EXTRA``, which no workload
-trains, run on the inputs and the first config of the workload they are
-listed under, with their field overrides, so all seven wirings are
-covered, as are the frozen message passer, a message passer with no
-message step, the two-layer GraphConv variant and the gate and max
-fusion ops. A line with overrides names them after the strategy, as
-``strategy+field=value``. ``--root`` picks the source checkout whose
+metric hides it, and last the same hash for the freshly built model
+before any training (``training.build_model`` with the seed and the
+train split's vocabulary), so a change to the forward shows apart from
+a change to training. The configurations in ``EXTRA``, which no
+workload trains, run on the inputs and the first config of the workload
+they are listed under, with their field overrides, so all seven wirings
+are covered, as are the frozen message passer, a message passer with no
+message step, the two-layer GraphConv variant, the gate and max fusion
+ops and ``mpnn2lm`` without its MLM stage. A line with overrides names
+them after the strategy, as ``strategy+field=value``. ``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
 script), so two checkouts compare with one ``diff`` of the outputs.
 """
@@ -45,8 +48,9 @@ EPOCHS = 2
 PREDICT_BATCH = 64  # the batch size training.evaluate predicts with
 # (strategy, field overrides) no workload trains, hashed on one workload's
 # inputs and first config; frozen_mpnn keeps every message-passer weight at
-# its initial value, message_steps=0 builds the input layer alone, and the
-# late-fusion lines train GraphConv and the fusion ops no workload uses
+# its initial value, message_steps=0 builds the input layer alone, the
+# late-fusion lines train GraphConv and the fusion ops no workload uses, and
+# mpnn2lm without MLM is the one encoder wiring whose encoder reads every row
 EXTRA = {
     "small-graph-integration": (
         ("lm-baseline", {}),
@@ -62,6 +66,7 @@ EXTRA = {
     ),
     "large-graph-pretrained-fusion": (
         ("late-fusion", {"frozen_mpnn": True}),
+        ("mpnn2lm", {"mlm_pretrain": False}),
     ),
 }
 
@@ -93,12 +98,10 @@ def dataset_hash(data):
     return digest.hexdigest()
 
 
-def predictions_hash(model, config, data, seed):
+def predictions_hash(model, test_mols):
     """SHA-256 of the model's test-split predictions."""
     import numpy as np
-    from molfuse.training import prepare_splits
 
-    _, _, (_, _, (test_mols, _, _)) = prepare_splits(config, data.records, seed)
     preds = np.concatenate([model.predict(test_mols[lo:lo + PREDICT_BATCH])
                             for lo in range(0, len(test_mols), PREDICT_BATCH)])
     return hashlib.sha256(preds.astype(np.float64).tobytes()).hexdigest()
@@ -113,7 +116,7 @@ def main(argv=None):
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 
-    from molfuse.training import load_dataset, train_one
+    from molfuse.training import build_model, load_dataset, prepare_splits, train_one
     from worker import run_configs
     from workloads import WORKLOADS, data_seed, write_inputs
 
@@ -133,12 +136,17 @@ def main(argv=None):
                 config = dataclasses.replace(
                     config, max_epochs=EPOCHS, patience=EPOCHS)
                 data = load_dataset(config)
+                _, vocab, (_, _, (test_mols, _, _)) = prepare_splits(
+                    config, data.records, seed)
+                untrained = predictions_hash(
+                    build_model(config, len(vocab), seed), test_mols)
                 model, result = train_one(config, seed, data)
                 label = "".join([config.strategy] + [
                     f"+{key}={value}" for key, value in overrides.items()])
                 print(f"{name} {label} {result.test_metric!r} "
                       f"{state_hash(model.state_dict())} "
-                      f"{predictions_hash(model, config, data, seed)}", flush=True)
+                      f"{predictions_hash(model, test_mols)} {untrained}",
+                      flush=True)
     return 0
 
 
