@@ -78,11 +78,9 @@ def edge_types(rows):
 
 
 class Mpnn:
-    def __init__(self, config, rng, cell_width=None):
+    def __init__(self, config, rng):
         self.config = config
         d = config.hidden_dim
-        w = cell_width or d
-        self.cell_width = w
         eh = config.edge_hidden
         self._params = []  # in build order
 
@@ -97,17 +95,14 @@ class Mpnn:
             return
         self.we1 = build("edge.w1", xavier(rng, EDGE_FEATURE_DIM, eh))
         self.be1 = build("edge.b1", np.zeros(eh))
-        self.we2 = build("edge.w2", xavier(rng, eh, w * w))
-        self.be2 = build("edge.b2", np.zeros(w * w))
-        self.wz = build("cell.wz", xavier(rng, 2 * w, w))
-        self.bz = build("cell.bz", np.zeros(w))
-        self.wr = build("cell.wr", xavier(rng, 2 * w, w))
-        self.br = build("cell.br", np.zeros(w))
-        self.wm = build("cell.wm", xavier(rng, w, w))
-        self.wh = build("cell.wh", xavier(rng, w, w))
-        if w != d:
-            self.w_proj = build("w_proj", xavier(rng, w, d))
-            self.b_proj = build("b_proj", np.zeros(d))
+        self.we2 = build("edge.w2", xavier(rng, eh, d * d))
+        self.be2 = build("edge.b2", np.zeros(d * d))
+        self.wz = build("cell.wz", xavier(rng, 2 * d, d))
+        self.bz = build("cell.bz", np.zeros(d))
+        self.wr = build("cell.wr", xavier(rng, 2 * d, d))
+        self.br = build("cell.br", np.zeros(d))
+        self.wm = build("cell.wm", xavier(rng, d, d))
+        self.wh = build("cell.wh", xavier(rng, d, d))
 
     def parameters(self):
         return list(self._params)
@@ -158,20 +153,15 @@ class Mpnn:
             "add", tape.apply("multiply", keep, states), tape.apply("multiply", z, cand)
         )
 
-    def _project(self, tape, states):
-        if self.cell_width == self.config.hidden_dim:
-            return states
-        return tape.apply("matmul", states, self.w_proj, self.b_proj)
-
     def run(self, tape, batch, fuse_fn=None):
         """T message-passing steps; fuse_fn (if given) injects aligned
-        cross-model rows into h before both aggregation and update."""
+        cross-model rows into h, at h's width, before aggregation and update."""
         h = self.initial_states(tape, batch)
         steps = self.config.message_steps
         message_fn = self._message_operator(tape, batch) if steps else None
         for _ in range(steps):
             fused = fuse_fn(tape, h) if fuse_fn is not None else h
-            h = self._project(tape, self.update(tape, fused, message_fn(tape, fused)))
+            h = self.update(tape, fused, message_fn(tape, fused))
         return h
 
     def readout(self, tape, states, batch):
@@ -218,7 +208,7 @@ class GraphConv:
         return tape.apply("segment-mean", states, offsets=batch.offsets)
 
 
-def build_gnn(config, rng, cell_width=None):
+def build_gnn(config, rng):
     if config.gnn_variant == "graphconv":
         return GraphConv(config, rng)
-    return Mpnn(config, rng, cell_width=cell_width)
+    return Mpnn(config, rng)

@@ -4,21 +4,23 @@ Seven wirings are selectable: the two single-model baselines, node- and
 graph-level contrastive supervision of the token encoder, late fusion of
 the two graph embeddings, and the two joint fusions (message-passer
 states injected into the encoder input, or encoder token outputs injected
-into every message-passing step). The encoder computes only the rows a
-wiring reads: the CLS rows for ``lm-baseline``, graph-level contrast and
-late fusion, the atom rows for node-level contrast and ``lm2mpnn``, and
-every row for ``mpnn2lm``'s mean pool. Both contrast levels draw
-negatives through :func:`build_triples` and weigh their triplet term by
-``alpha``: node-level negatives come from seeded within-graph
-derangements, and graph-level negatives from one derangement of the
-batch, passed as one segment with each graph counted as one node.
-``IntegratedModel`` takes one
+into every message-passing step; both fuse through one injection step,
+which projects ``concat``'s 2d-wide row back to d). The encoder computes
+only the rows a wiring reads: the CLS rows for ``lm-baseline``,
+graph-level contrast and late fusion, the atom rows for node-level
+contrast and ``lm2mpnn``, and every row for ``mpnn2lm``'s mean pool. Both
+contrast levels draw negatives through :func:`build_triples` and weigh
+their triplet term by ``alpha``: node-level negatives come from seeded
+within-graph derangements, and graph-level negatives from one
+derangement of the batch, passed as one segment with each graph counted
+as one node. ``IntegratedModel`` takes one
 :class:`molfuse.training.RunConfig` and hands it to both components, so
 they share one ``hidden_dim``; the strategy, fusion op, task, contrast
 weight and margin come from the same object.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,8 +85,7 @@ def build_triples(lm_nodes, mpnn_nodes, offsets, seed):
     uniform node from another graph (or are skipped and counted when the
     batch offers none). Offsets ``[0, n]`` derange the whole batch at once.
     """
-    rows_a = lm_nodes.shape[0] if hasattr(lm_nodes, "shape") else len(lm_nodes)
-    rows_p = mpnn_nodes.shape[0] if hasattr(mpnn_nodes, "shape") else len(mpnn_nodes)
+    rows_a, rows_p = lm_nodes.shape[0], mpnn_nodes.shape[0]
     if rows_a != rows_p:
         raise ValueError(
             f"anchor rows {rows_a} != positive rows {rows_p}"
@@ -181,17 +182,14 @@ class IntegratedModel:
         self.gnn = None
         self.gate_w = None
         self.gate_b = None
-        self.mpnn2lm_proj = None
+        self.fuse_proj = None
 
         if strategy != "mpnn-baseline":
             self.encoder = SmilesEncoder(
                 config, vocab_size, np.random.default_rng([seed, 0])
             )
         if strategy != "lm-baseline":
-            cell_width = 2 * d if (strategy == "lm2mpnn" and fusion == "concat") else d
-            self.gnn = build_gnn(
-                config, np.random.default_rng([seed, 1]), cell_width=cell_width
-            )
+            self.gnn = build_gnn(config, np.random.default_rng([seed, 1]))
             # frozen weights are constants: no tape records them, no Adam steps them
             for p in self.gnn.parameters():
                 p.requires_grad = not config.frozen_mpnn
@@ -203,8 +201,8 @@ class IntegratedModel:
         if fusion == "gate" and strategy in ("late-fusion", "mpnn2lm", "lm2mpnn"):
             self.gate_w = parameter(xavier(rng_fuse, 2 * d, d), "fuse.gate_w")
             self.gate_b = parameter(np.zeros(d), "fuse.gate_b")
-        if strategy == "mpnn2lm" and fusion == "concat":
-            self.mpnn2lm_proj = parameter(xavier(rng_fuse, 2 * d, d), "fuse.proj")
+        if fusion == "concat" and strategy in ("mpnn2lm", "lm2mpnn"):
+            self.fuse_proj = parameter(xavier(rng_fuse, 2 * d, d), "fuse.proj")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -221,9 +219,18 @@ class IntegratedModel:
         params.extend(self.head.parameters())
         if self.gate_w is not None:
             params.extend([self.gate_w, self.gate_b])
-        if self.mpnn2lm_proj is not None:
-            params.append(self.mpnn2lm_proj)
+        if self.fuse_proj is not None:
+            params.append(self.fuse_proj)
         return params
+
+    def _inject(self, tape, rows, injected):
+        """Fuse the other model's aligned rows into ``rows``: the one
+        injection step of both joint fusions. ``concat``'s 2d-wide row is
+        projected back to d through ``fuse.proj``."""
+        fused = fuse(tape, rows, injected, self.config.fusion, self.gate_params)
+        if self.fuse_proj is not None:
+            fused = tape.apply("matmul", fused, self.fuse_proj)
+        return fused
 
     def _mpnn_readout(self, tape, gb):
         return self.gnn.readout(tape, self.gnn.run(tape, gb), gb)
@@ -239,7 +246,7 @@ class IntegratedModel:
 
     # -- strategy forwards --------------------------------------------------
 
-    def _forward_mpnn2lm(self, tape, mols, gb, mpnn_states):
+    def _forward_mpnn2lm(self, tape, mols, mpnn_states):
         packed = pack_batch([mol.tokens for mol in mols])
         # message-passer states are in graph atom order, which is the
         # order of the atom tokens, so row k lands on atom_rows[k]
@@ -247,22 +254,16 @@ class IntegratedModel:
             "scatter-add-rows", mpnn_states, indices=packed.atom_rows,
             num_rows=len(packed.token_ids),
         )
-
-        def inject(t, e_in):
-            fused = fuse(t, e_in, injected, self.config.fusion, self.gate_params)
-            if self.mpnn2lm_proj is not None:
-                fused = t.apply("matmul", fused, self.mpnn2lm_proj)
-            return fused
-
-        e_out = self.encoder.forward(tape, packed, fuse_fn=inject)
+        e_out = self.encoder.forward(
+            tape, packed, fuse_fn=partial(self._inject, injected=injected)
+        )
         pooled = tape.apply("segment-mean", e_out, offsets=packed.offsets)
         return self.head.forward(tape, pooled)
 
     def _forward_lm2mpnn(self, tape, gb, lm_node_rows):
-        def inject(t, h):
-            return fuse(t, h, lm_node_rows, self.config.fusion, self.gate_params)
-
-        states = self.gnn.run(tape, gb, fuse_fn=inject)
+        states = self.gnn.run(
+            tape, gb, fuse_fn=partial(self._inject, injected=lm_node_rows)
+        )
         pooled = self.gnn.readout(tape, states, gb)
         return self.head.forward(tape, pooled)
 
@@ -285,7 +286,7 @@ class IntegratedModel:
             pooled = self._mpnn_readout(tape, gb)
             preds = self.head.forward(tape, pooled)
         elif strategy == "mpnn2lm":
-            preds = self._forward_mpnn2lm(tape, mols, gb, self.gnn.run(tape, gb))
+            preds = self._forward_mpnn2lm(tape, mols, self.gnn.run(tape, gb))
         else:
             packed = pack_batch([mol.tokens for mol in mols])
             # node-level wirings read the atom rows, the others the CLS rows
@@ -333,7 +334,8 @@ class IntegratedModel:
         return {p.name: p.values.copy() for p in self.parameters()}
 
     def load_state_dict(self, state):
-        """Copy values in by parameter name; the names must match exactly."""
+        """Copy values in by parameter name; the names and shapes must
+        match exactly, and nothing is copied when one does not."""
         params = self.parameters()
         names = {p.name for p in params}
         missing = sorted(names - set(state))
@@ -343,5 +345,11 @@ class IntegratedModel:
                 f"state does not match the model's parameters: missing "
                 f"{missing}, unexpected {unexpected}"
             )
+        for p in params:
+            if np.shape(state[p.name]) != p.values.shape:
+                raise ValueError(
+                    f"parameter {p.name}: state has shape "
+                    f"{np.shape(state[p.name])}, the model's is {p.values.shape}"
+                )
         for p in params:
             p.values[:] = state[p.name]

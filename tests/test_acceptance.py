@@ -174,7 +174,7 @@ def test_c4_neutrality_identities():
     tape = Tape(grad_enabled=False)
     states = model.gnn.run(tape, gb)
     checks.append(not states.values.any())
-    preds = model._forward_mpnn2lm(tape, mols, gb, states)
+    preds = model._forward_mpnn2lm(tape, mols, states)
     packed = pack_batch([m.tokens for m in mols])
     ref_tape = Tape(grad_enabled=False)
     e_out_base = model.encoder.forward(ref_tape, packed)

@@ -333,6 +333,18 @@ class TestTrainCommand:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv", [["train", "--dataset"], ["train", "--config"], ["parse", "--file"]],
+    ids=["train-dataset", "train-config", "parse-file"],
+)
+def test_directory_for_a_file_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a default --out would go
+    assert main(argv + [str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert "Traceback" not in err
+
+
 class TestAblateCommand:
     def test_fusion_table_shape(self, tiny_csv, tmp_path, capsys):
         out_dir = tmp_path / "ab"

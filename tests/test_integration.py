@@ -443,7 +443,7 @@ class TestMpnn2Lm:
         tape = Tape(grad_enabled=False)
         states = model.gnn.run(tape, gb)
         assert not states.values.any()  # exactly zero
-        preds = model._forward_mpnn2lm(tape, mols, gb, states)
+        preds = model._forward_mpnn2lm(tape, mols, states)
 
         packed = pack_batch([m.tokens for m in mols])
         ref_tape = Tape(grad_enabled=False)
@@ -541,8 +541,23 @@ class TestLm2Mpnn:
         np.testing.assert_allclose(m.values[0], h[1] + lmm[1], rtol=1e-15)
         np.testing.assert_allclose(m.values[1], h[0] + lmm[0], rtol=1e-15)
 
-    def test_gradient_vs_fd_one_molecule(self):
-        model = tiny_model("lm2mpnn", fusion="sum")
+    def test_concat_keeps_the_message_passer_width(self):
+        def shapes(model):
+            return {p.name: p.shape for p in model.gnn.parameters()}
+
+        model = tiny_model("lm2mpnn", fusion="concat")
+        assert shapes(model) == shapes(tiny_model("lm2mpnn", fusion="sum"))
+        assert model.fuse_proj.shape == (16, 8)
+        mols = mols_for(["CCO", "C1CC1"])
+        loss, preds, _ = model.forward_batch(Tape(), mols, batch_seed=0)
+        assert preds.shape == (2, 1) and np.isfinite(loss.values)
+
+
+class TestInjection:
+    @pytest.mark.parametrize("fusion", FUSION_OPS)
+    @pytest.mark.parametrize("strategy", ["lm2mpnn", "mpnn2lm"])
+    def test_gradient_vs_fd_one_molecule(self, strategy, fusion):
+        model = tiny_model(strategy, fusion=fusion)
         mols = mols_for(["CCO"], [0.7])
         params = model.parameters()
 
@@ -558,13 +573,6 @@ class TestLm2Mpnn:
             ana = grads[p.node_id]
             denom = np.maximum(np.abs(ana), np.maximum(np.abs(num), 1e-3))
             assert (np.abs(ana - num) / denom).max() < 1e-4, p.name
-
-    def test_concat_runs_with_double_cell_width(self):
-        model = tiny_model("lm2mpnn", fusion="concat")
-        assert model.gnn.cell_width == 16
-        mols = mols_for(["CCO", "C1CC1"])
-        loss, preds, _ = model.forward_batch(Tape(), mols, batch_seed=0)
-        assert preds.shape == (2, 1) and np.isfinite(loss.values)
 
 
 class TestAllStrategiesOnCorpus:
@@ -629,6 +637,21 @@ class TestLoadStateDict:
             model.load_state_dict(state)
         assert "missing ['lm.0.wqkv']" in str(exc.value)
         assert "unexpected ['lm.0.wq0']" in str(exc.value)
+
+    def test_wrong_shape_is_rejected_and_nothing_is_copied(self):
+        model = tiny_model("lm-baseline")
+        before = model.state_dict()
+        state = model.state_dict()
+        # tok_emb precedes pos_emb, so a copy that checked as it went
+        # would have changed tok_emb before reaching the bad shape
+        state["lm.tok_emb"] = state["lm.tok_emb"] + 1.0
+        state["lm.pos_emb"] = np.ones((1, 8))
+        with pytest.raises(ValueError) as exc:
+            model.load_state_dict(state)
+        assert "lm.pos_emb" in str(exc.value)
+        assert "(1, 8)" in str(exc.value) and "(64, 8)" in str(exc.value)
+        for name, values in model.state_dict().items():
+            np.testing.assert_array_equal(values, before[name])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_loaded_nan_fails_a_model_that_already_ran(self):

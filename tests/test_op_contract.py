@@ -151,8 +151,8 @@ class TestBondLessBatch:
         def zero_messages(tape, batch):
             h = model.initial_states(tape, batch)
             for _ in range(model.config.message_steps):
-                m = constant(np.zeros((batch.num_nodes, model.cell_width)))
-                h = model._project(tape, model.update(tape, h, m))
+                m = constant(np.zeros((batch.num_nodes, model.config.hidden_dim)))
+                h = model.update(tape, h, m)
             return h
 
         model = Mpnn(cfg(), np.random.default_rng(3))

@@ -29,7 +29,8 @@ workload trains, run on the inputs and the first config of the workload
 they are listed under, with their field overrides, so all seven wirings
 are covered, as are the frozen message passer, a message passer with no
 message step, the two-layer GraphConv variant, the gate and max fusion
-ops and ``mpnn2lm`` without its MLM stage. A line with overrides names
+ops, the concat and gate fusions of both injecting wirings, and
+``mpnn2lm`` without its MLM stage. A line with overrides names
 them after the strategy, as ``strategy+field=value``. ``--root`` picks the source checkout whose
 ``src/`` and ``perfbench/`` are imported (default: the one holding this
 script), so two checkouts compare with one ``diff`` of the outputs.
@@ -49,8 +50,10 @@ PREDICT_BATCH = 64  # the batch size training.evaluate predicts with
 # (strategy, field overrides) no workload trains, hashed on one workload's
 # inputs and first config; frozen_mpnn keeps every message-passer weight at
 # its initial value, message_steps=0 builds the input layer alone, the
-# late-fusion lines train GraphConv and the fusion ops no workload uses, and
-# mpnn2lm without MLM is the one encoder wiring whose encoder reads every row
+# late-fusion lines train GraphConv and the fusion ops no workload uses, the
+# lm2mpnn and mpnn2lm fusion lines cover the injection paths the workloads'
+# own configs (lm2mpnn sum, mpnn2lm concat) miss, and mpnn2lm without MLM is
+# the one encoder wiring whose encoder reads every row
 EXTRA = {
     "small-graph-integration": (
         ("lm-baseline", {}),
@@ -63,10 +66,13 @@ EXTRA = {
         ("late-fusion", {"gnn_variant": "graphconv"}),
         ("late-fusion", {"fusion": "gate"}),
         ("late-fusion", {"fusion": "max"}),
+        ("lm2mpnn", {"fusion": "concat"}),
+        ("lm2mpnn", {"fusion": "gate"}),
     ),
     "large-graph-pretrained-fusion": (
         ("late-fusion", {"frozen_mpnn": True}),
         ("mpnn2lm", {"mlm_pretrain": False}),
+        ("mpnn2lm", {"fusion": "gate"}),
     ),
 }
 
